@@ -16,6 +16,7 @@
 // torus family at 10^5, and best-bisection + easy-backfill on the torus at
 // 10^6 (the acceptance run); --fast trims to 10^3/10^4. --filter works on
 // the "family/policy/jobs" row labels.
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -24,7 +25,6 @@
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
 #include "core/scheduler_stream.hpp"
-#include "sched_baseline.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/trace.hpp"
 #include "topo/descriptor.hpp"
@@ -32,6 +32,37 @@
 namespace {
 
 using namespace npac;
+
+// FNV-1a over the raw bit patterns of every emitted record, in emission
+// (placement) order: equal digests certify identical schedules without
+// materializing either.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+void digest_u64(std::uint64_t& hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffULL;
+    hash *= kFnvPrime;
+  }
+}
+
+void digest_double(std::uint64_t& hash, double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  digest_u64(hash, bits);
+}
+
+void digest_record(std::uint64_t& hash, const core::ScheduledJob& record) {
+  digest_u64(hash, static_cast<std::uint64_t>(record.job.id));
+  digest_u64(hash, static_cast<std::uint64_t>(record.job.midplanes));
+  digest_double(hash, record.start_seconds);
+  digest_double(hash, record.finish_seconds);
+  digest_double(hash, record.slowdown);
+  for (const char c : record.partition.label) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= kFnvPrime;
+  }
+}
 
 struct ScaleMachine {
   std::string name;
@@ -132,11 +163,11 @@ int main(int argc, char** argv) {
           const auto sizes = core::feasible_unit_sizes(*allocator);
           sweep::SyntheticJobSource source(
               sizes, scale_config(*allocator, sizes, c.jobs), seed);
-          std::uint64_t digest = bench::kFnvOffset;
+          std::uint64_t digest = kFnvOffset;
           core::StreamingScheduler scheduler(*allocator, c.policy);
           const core::StreamStats stats = scheduler.run(
               source, [&digest](const core::ScheduledJob& record) {
-                bench::digest_record(digest, record);
+                digest_record(digest, record);
               });
           return std::vector<std::string>{
               machines[c.machine].name,

@@ -28,10 +28,9 @@
 
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
+#include "core/scheduler_stream.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "pool_baseline.hpp"
-#include "sched_baseline.hpp"
 #include "simnet/graph_network.hpp"
 #include "simnet/traffic.hpp"
 #include "sweep/runner.hpp"
@@ -103,6 +102,58 @@ struct PhaseResult {
   double seconds = 0.0;
   std::int64_t rows = 0;
 };
+
+/// The contended-cache kernel: n tiny tasks, each reading one seed-selected
+/// word of one of 64 cached 16 KiB payloads (few keys, so every worker
+/// hammers the same entries) into its own slot.
+void striped_contended_run(int threads, std::int64_t n) {
+  constexpr std::int64_t kKeys = 64;
+  constexpr std::size_t kWords = 2048;
+  sweep::ThreadPool pool(threads);
+  sweep::MemoCache<std::int64_t, std::vector<std::uint64_t>> cache;
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(n));
+  pool.run_indexed(n, [&](std::int64_t i) {
+    const std::int64_t key = i % kKeys;
+    const auto payload = cache.get_or_compute(key, [key] {
+      std::vector<std::uint64_t> words(kWords);
+      for (std::size_t j = 0; j < kWords; ++j) {
+        words[j] = sweep::task_seed(static_cast<std::uint64_t>(key),
+                                    static_cast<std::int64_t>(j));
+      }
+      return words;
+    });
+    slots[static_cast<std::size_t>(i)] =
+        (*payload)[sweep::task_seed(5, i) % kWords] ^ sweep::task_seed(99, i);
+  });
+}
+
+/// The balanced-load scheduler workload: job sizes across Mira's feasible
+/// ladder, interarrival tuned to ~0.7 effective utilization, so the queue
+/// depth is flat in trace length while the head still blocks on most
+/// arrivals.
+sweep::TraceConfig scale_trace_config(int num_jobs) {
+  sweep::TraceConfig config;
+  config.num_jobs = num_jobs;
+  config.mean_interarrival_seconds = 18.0;
+  config.min_base_seconds = 20.0;
+  config.max_base_seconds = 40.0;
+  return config;
+}
+
+std::vector<std::int64_t> scale_size_pool() {
+  return {1, 2, 4, 8, 16, 32, 48, 64, 96};
+}
+
+/// Streams the balanced-load trace through the streaming scheduler on an
+/// empty Mira, best-bisection policy.
+core::StreamStats streaming_run(int num_jobs, std::uint64_t seed) {
+  const auto allocator = core::make_allocator(bgq::mira());
+  sweep::SyntheticJobSource source(scale_size_pool(),
+                                   scale_trace_config(num_jobs), seed);
+  return core::StreamingScheduler(*allocator,
+                                  core::SchedulerPolicy::kBestBisection)
+      .run(source, [](const core::ScheduledJob&) {});
+}
 
 std::string report_json(const ReportOptions& options, int resolved_threads,
                         const std::vector<PhaseResult>& phases,
@@ -295,93 +346,36 @@ int run_report(const ReportOptions& options) {
             .size());
   });
 
-  // The executor substrate itself, measured as the same contended-cache
-  // kernel on both pool/cache designs (bench/pool_baseline.hpp). The
-  // committed baseline records the work-stealing pool's >= 2x throughput
-  // edge over the mutex-cursor replica at 16 oversubscribed workers; the
-  // regression gate then keeps pool_steal honest release over release.
+  // The executor substrate itself: the contended-cache kernel on the
+  // work-stealing pool and striped memo cache at 16 oversubscribed
+  // workers; the regression gate keeps pool_steal honest release over
+  // release.
   const std::int64_t pool_tasks = options.fast ? (1 << 14) : (1 << 16);
   phase("pool_steal", [&] {
-    (void)bench::striped_contended_run(/*threads=*/16, pool_tasks);
-    return pool_tasks;
-  });
-  phase("pool_mutex_baseline", [&] {
-    (void)bench::legacy_contended_run(/*threads=*/16, pool_tasks);
+    striped_contended_run(/*threads=*/16, pool_tasks);
     return pool_tasks;
   });
 
-  // The scheduler engine pair: the streaming event-driven core against the
-  // pre-refactor materialized-replay replica (bench/sched_baseline.hpp) on
-  // the same 10^5-job balanced-load Mira trace, best-bisection policy.
-  // Each side runs twice and keeps its faster rep (min-of-paired-runs);
-  // the phase time covers both reps, so the committed baseline gates both
-  // engines with the usual 2x rule while the stderr line reports the
-  // events/second ratio the acceptance criterion pins (>= 5x). The FNV-1a
-  // schedule digests must match across engines — a mismatch fails the
-  // report outright, because then the phases timed different schedules.
+  // The streaming scheduler on a 10^5-job balanced-load Mira trace,
+  // best-bisection policy. The phase time covers two runs; the stderr line
+  // reports events/second of the faster one.
   const int sched_jobs = 100000;
-  const auto sched_sizes = bench::scale_size_pool();
-  const auto sched_config = bench::scale_trace_config(sched_jobs);
-  const auto sched_trace =
-      sweep::generate_trace(sched_sizes, sched_config, options.seed);
-  struct SchedSide {
-    double min_seconds = 1.0e300;
-    std::uint64_t digest = 0;
-    std::uint64_t events = 0;
-  };
-  const auto paired_min = [&](const auto& kernel) {
-    SchedSide side;
+  double sched_min_seconds = 1.0e300;
+  std::uint64_t sched_events = 0;
+  phase("sched_stream", [&] {
     for (int rep = 0; rep < 2; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      const bench::ReplayOutcome outcome = kernel();
-      const double seconds =
+      sched_events = streaming_run(sched_jobs, options.seed).events;
+      sched_min_seconds = std::min(
+          sched_min_seconds,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
-              .count();
-      side.min_seconds = std::min(side.min_seconds, seconds);
-      side.digest = outcome.digest;
-      side.events = outcome.events;
+              .count());
     }
-    return side;
-  };
-  SchedSide sched_stream_side;
-  SchedSide sched_replay_side;
-  phase("sched_stream", [&] {
-    sched_stream_side = paired_min([&] {
-      const auto allocator = core::make_allocator(bgq::mira());
-      sweep::SyntheticJobSource source(sched_sizes, sched_config,
-                                       options.seed);
-      return bench::streaming_run(
-          *allocator, core::SchedulerPolicy::kBestBisection, source);
-    });
     return std::int64_t{sched_jobs};
   });
-  phase("sched_replay_baseline", [&] {
-    sched_replay_side = paired_min([&] {
-      const auto allocator = core::make_allocator(bgq::mira());
-      return bench::materialized_replay(
-          *allocator, core::SchedulerPolicy::kBestBisection, sched_trace);
-    });
-    return std::int64_t{sched_jobs};
-  });
-  if (sched_stream_side.digest != sched_replay_side.digest) {
-    std::fprintf(stderr,
-                 "perf_report: sched digest mismatch — streaming %llu vs "
-                 "replay %llu: the engines computed different schedules\n",
-                 static_cast<unsigned long long>(sched_stream_side.digest),
-                 static_cast<unsigned long long>(sched_replay_side.digest));
-    return 1;
-  }
-  {
-    const double stream_eps = static_cast<double>(sched_stream_side.events) /
-                              sched_stream_side.min_seconds;
-    const double replay_eps = static_cast<double>(sched_replay_side.events) /
-                              sched_replay_side.min_seconds;
-    std::fprintf(stderr,
-                 "perf_report: sched_stream %.0f events/s vs replay %.0f "
-                 "events/s — %.1fx (min of paired runs, digests match)\n",
-                 stream_eps, replay_eps, stream_eps / replay_eps);
-  }
+  std::fprintf(stderr, "perf_report: sched_stream %.0f events/s (faster of two runs)\n",
+               static_cast<double>(sched_events) / sched_min_seconds);
 
   context.publish_metrics(registry);
 

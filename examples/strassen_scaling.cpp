@@ -4,7 +4,7 @@
 //
 // Usage:  strassen_scaling [n]    (default n = 512 for the local kernel)
 //
-// Part 1 multiplies two n x n matrices with the OpenMP Strassen-Winograd
+// Part 1 multiplies two n x n matrices with the parallel Strassen-Winograd
 // kernel and checks the result against classical GEMM.
 // Part 2 replays the paper's Figure 6: CAPS communication time on 2/4/8
 // Mira midplanes under the current vs proposed partition geometries.

@@ -87,9 +87,9 @@ int main() {
   const std::string serialized = sweep::format_trace(trace);
   const auto replayed = sweep::parse_trace(serialized);
   const sweep::CachedPartitionOracle oracle(&context_sequential);
-  const auto direct = sweep::replay_trace(
+  const auto direct = core::simulate_schedule(
       bgq::mira(), core::SchedulerPolicy::kBestBisection, trace, oracle);
-  const auto roundtrip = sweep::replay_trace(
+  const auto roundtrip = core::simulate_schedule(
       bgq::mira(), core::SchedulerPolicy::kBestBisection, replayed, oracle);
   std::printf(
       "trace round trip: %d jobs serialized to %zu bytes; replay makespan "

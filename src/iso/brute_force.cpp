@@ -1,17 +1,27 @@
 #include "iso/brute_force.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "sweep/pool.hpp"
 
 namespace npac::iso {
 
 namespace {
+
+/// Enumeration chunking, a function of the subset count only: at least
+/// 2^14 subsets per chunk (below that the pool hand-off costs more than
+/// the enumeration, so small instances run inline; no chunk is ever
+/// empty) and at most 64 chunks.
+std::int64_t chunk_count(std::int64_t subsets) {
+  constexpr std::int64_t kMinSubsetsPerChunk = std::int64_t{1} << 14;
+  constexpr std::int64_t kMaxChunks = 64;
+  return std::clamp<std::int64_t>(subsets / kMinSubsetsPerChunk, 1,
+                                  kMaxChunks);
+}
 
 /// Binomial coefficients C(n, k) for n <= 62, saturating at int64 max.
 std::int64_t binomial(int n, int k) {
@@ -134,47 +144,33 @@ BruteForceResult brute_force_isoperimetric(const topo::Graph& graph,
   best.min_cut = std::numeric_limits<double>::infinity();
   best.subsets_examined = static_cast<std::uint64_t>(total);
 
-#ifdef _OPENMP
-  const int threads = omp_get_max_threads();
-#else
-  const int threads = 1;
-#endif
-  const std::int64_t chunk = (total + threads - 1) / threads;
-
-  std::vector<double> thread_best(static_cast<std::size_t>(threads),
-                                  std::numeric_limits<double>::infinity());
-  std::vector<std::uint64_t> thread_mask(static_cast<std::size_t>(threads), 0);
-
-#pragma omp parallel num_threads(threads)
-  {
-#ifdef _OPENMP
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    const std::int64_t begin = tid * chunk;
-    const std::int64_t end = std::min<std::int64_t>(total, begin + chunk);
-    if (begin < end) {
-      std::uint64_t mask = unrank_combination(n, static_cast<int>(t), begin);
-      double local_best = std::numeric_limits<double>::infinity();
-      std::uint64_t local_mask = 0;
-      for (std::int64_t i = begin; i < end; ++i) {
-        const double cut = cut_of_mask(cache, mask);
-        if (cut < local_best) {
-          local_best = cut;
-          local_mask = mask;
-        }
-        if (i + 1 < end) mask = next_combination(mask);
+  // Each chunk keeps its first minimum in rank order; scanning the chunks
+  // in order with a strict < then keeps the global first minimum.
+  const std::int64_t chunks = chunk_count(total);
+  std::vector<double> chunk_best(static_cast<std::size_t>(chunks),
+                                 std::numeric_limits<double>::infinity());
+  std::vector<std::uint64_t> chunk_mask(static_cast<std::size_t>(chunks), 0);
+  sweep::parallel_for(chunks, [&](std::int64_t chunk) {
+    const auto [begin, end] = sweep::balanced_range(total, chunks, chunk);
+    std::uint64_t mask = unrank_combination(n, static_cast<int>(t), begin);
+    double local_best = std::numeric_limits<double>::infinity();
+    std::uint64_t local_mask = 0;
+    for (std::int64_t i = begin; i < end; ++i) {
+      const double cut = cut_of_mask(cache, mask);
+      if (cut < local_best) {
+        local_best = cut;
+        local_mask = mask;
       }
-      thread_best[static_cast<std::size_t>(tid)] = local_best;
-      thread_mask[static_cast<std::size_t>(tid)] = local_mask;
+      if (i + 1 < end) mask = next_combination(mask);
     }
-  }
+    chunk_best[static_cast<std::size_t>(chunk)] = local_best;
+    chunk_mask[static_cast<std::size_t>(chunk)] = local_mask;
+  });
 
-  for (int tid = 0; tid < threads; ++tid) {
-    if (thread_best[static_cast<std::size_t>(tid)] < best.min_cut) {
-      best.min_cut = thread_best[static_cast<std::size_t>(tid)];
-      best.witness_mask = thread_mask[static_cast<std::size_t>(tid)];
+  for (std::size_t chunk = 0; chunk < chunk_best.size(); ++chunk) {
+    if (chunk_best[chunk] < best.min_cut) {
+      best.min_cut = chunk_best[chunk];
+      best.witness_mask = chunk_mask[chunk];
     }
   }
   return best;
@@ -195,33 +191,22 @@ double brute_force_small_set_expansion(const topo::Graph& graph,
   double best = std::numeric_limits<double>::infinity();
   for (std::int64_t size = 1; size <= t; ++size) {
     const std::int64_t total = binomial(n, static_cast<int>(size));
-    double size_best = std::numeric_limits<double>::infinity();
-#pragma omp parallel reduction(min : size_best)
-    {
-#ifdef _OPENMP
-      const int tid = omp_get_thread_num();
-      const int threads = omp_get_num_threads();
-#else
-      const int tid = 0;
-      const int threads = 1;
-#endif
-      const std::int64_t chunk = (total + threads - 1) / threads;
-      const std::int64_t begin = tid * chunk;
-      const std::int64_t end = std::min<std::int64_t>(total, begin + chunk);
-      if (begin < end) {
-        std::uint64_t mask =
-            unrank_combination(n, static_cast<int>(size), begin);
-        for (std::int64_t i = begin; i < end; ++i) {
-          const double cut = cut_of_mask(cache, mask);
-          const double volume = volume_of_mask(cache, mask);
-          if (volume > 0.0) {
-            size_best = std::min(size_best, cut / volume);
-          }
-          if (i + 1 < end) mask = next_combination(mask);
-        }
+    const std::int64_t chunks = chunk_count(total);
+    std::vector<double> chunk_best(static_cast<std::size_t>(chunks),
+                                   std::numeric_limits<double>::infinity());
+    sweep::parallel_for(chunks, [&](std::int64_t chunk) {
+      const auto [begin, end] = sweep::balanced_range(total, chunks, chunk);
+      std::uint64_t mask = unrank_combination(n, static_cast<int>(size), begin);
+      double local_best = std::numeric_limits<double>::infinity();
+      for (std::int64_t i = begin; i < end; ++i) {
+        const double cut = cut_of_mask(cache, mask);
+        const double volume = volume_of_mask(cache, mask);
+        if (volume > 0.0) local_best = std::min(local_best, cut / volume);
+        if (i + 1 < end) mask = next_combination(mask);
       }
-    }
-    best = std::min(best, size_best);
+      chunk_best[static_cast<std::size_t>(chunk)] = local_best;
+    });
+    for (const double chunk : chunk_best) best = std::min(best, chunk);
   }
   return best;
 }

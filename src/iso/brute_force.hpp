@@ -20,7 +20,9 @@ struct BruteForceResult {
 };
 
 /// Minimum cut capacity over all vertex subsets of size exactly t.
-/// Requires graph.num_vertices() <= 62. Parallelized with OpenMP.
+/// Requires graph.num_vertices() <= 62. Large enumerations run in chunks
+/// on sweep::parallel_for; the result (witness included: the first optimal
+/// subset in enumeration order) does not depend on the thread count.
 BruteForceResult brute_force_isoperimetric(const topo::Graph& graph,
                                            std::int64_t t);
 

@@ -5,8 +5,7 @@
 namespace npac::iso {
 
 std::vector<topo::VertexId> harper_set(int n, std::int64_t t) {
-  const std::int64_t count = std::int64_t{1} << n;
-  if (n < 0 || n > 62 || t < 0 || t > count) {
+  if (n < 0 || n > 62 || t < 0 || t > (std::int64_t{1} << n)) {
     throw std::invalid_argument("harper_set: invalid n or t");
   }
   std::vector<topo::VertexId> set;
@@ -16,8 +15,7 @@ std::vector<topo::VertexId> harper_set(int n, std::int64_t t) {
 }
 
 std::int64_t harper_cut(int n, std::int64_t t) {
-  const std::int64_t count = std::int64_t{1} << n;
-  if (n < 0 || n > 62 || t < 0 || t > count) {
+  if (n < 0 || n > 62 || t < 0 || t > (std::int64_t{1} << n)) {
     throw std::invalid_argument("harper_cut: invalid n or t");
   }
   std::int64_t cut = 0;

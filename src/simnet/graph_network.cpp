@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,10 +10,6 @@
 #include "obs/metrics.hpp"
 #include "simnet/traffic.hpp"
 #include "support/hot.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace npac::simnet {
 
@@ -129,7 +124,7 @@ struct RouteAllScratch {
   std::vector<std::size_t> dst_cursor;
   std::vector<GroupFlow> sorted;
   std::vector<Group> groups;
-  std::vector<double> partials;  ///< num_chunks x num_channels, chunk-major
+  std::vector<double> partials;  ///< route_chunks' per-chunk partial loads
 
   std::size_t bytes() const {
     return (dst_first.capacity() + dst_cursor.capacity()) *
@@ -442,109 +437,34 @@ LinkLoads GraphNetwork::route_all(std::span<const Flow> flows) const {
   constexpr std::size_t kGroupsPerChunk = 16;
   const std::size_t num_chunks =
       (num_groups + kGroupsPerChunk - 1) / kGroupsPerChunk;
-  std::uint64_t rebuilds = 0;
-  std::uint64_t reuses = 0;
-  if (num_chunks == 1) {
+  std::atomic<std::uint64_t> chunk_rebuild_sum{0};
+  route_chunks(num_chunks, total.raw(), call.partials,
+               [&](std::size_t chunk, double* loads) {
+    const std::size_t first_group = chunk * kGroupsPerChunk;
+    const std::size_t last_group =
+        std::min(first_group + kGroupsPerChunk, num_groups);
+    // One span per call, or per destination-batch chunk on the thread
+    // that routed it, so the trace shows how routing work spread.
     std::optional<obs::ScopedTimer> span;
     if (obs::tracing_enabled()) {
-      span.emplace("graph.route_all dsts=" + std::to_string(num_groups) +
-                       " flows=" + std::to_string(count),
+      span.emplace(num_chunks == 1
+                       ? "graph.route_all dsts=" + std::to_string(num_groups) +
+                             " flows=" + std::to_string(count)
+                       : "graph.route_chunk dsts=" +
+                             std::to_string(last_group - first_group),
                    "net");
     }
     RoutingScratch& scratch = routing_scratch();
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const bool rebuilt =
-          route_group(groups[g].dst,
-                      {sorted + groups[g].first, groups[g].count},
-                      total.raw().data(), scratch);
-      ++(rebuilt ? rebuilds : reuses);
+    std::uint64_t chunk_rebuilds = 0;
+    for (std::size_t g = first_group; g < last_group; ++g) {
+      chunk_rebuilds += route_group(groups[g].dst,
+                                    {sorted + groups[g].first, groups[g].count},
+                                    loads, scratch);
     }
-  } else {
-    // Invalid flows (unreachable destinations — everything else was
-    // rejected by the validation pass above) must surface as catchable
-    // exceptions; OpenMP forbids exceptions escaping the parallel region,
-    // so the first one is captured and rethrown after the loop. Each chunk
-    // accumulates into its own slice of the arena's flat partials matrix,
-    // merged in chunk order below.
-    const std::size_t channels = num_channels();
-    if (call.partials.size() < num_chunks * channels) {
-      call.partials.resize(num_chunks * channels);
-    }
-    std::fill(call.partials.begin(),
-              call.partials.begin() +
-                  static_cast<std::ptrdiff_t>(num_chunks * channels),
-              0.0);
-    // The parallel region's closing barrier is the real synchronization
-    // point, but explicit release/acquire edges are kept alongside it: each
-    // chunk publishes with a release fetch_add and the master re-reads with
-    // acquire loads, so the partials hand-off and the exception hand-off
-    // are visible to the C++ memory model (and to TSan, which cannot see
-    // libgomp's barrier) without trusting the OpenMP runtime's sync alone.
-    std::atomic<std::uint64_t> total_rebuilds{0};
-    std::atomic<std::uint64_t> total_reuses{0};
-    std::exception_ptr error;
-    std::atomic<bool> error_claimed{false};
-    std::atomic<bool> error_ready{false};
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (std::ptrdiff_t chunk = 0;
-         chunk < static_cast<std::ptrdiff_t>(num_chunks); ++chunk) {
-      try {
-        RoutingScratch& scratch = routing_scratch();
-        double* const local =
-            call.partials.data() + static_cast<std::size_t>(chunk) * channels;
-        const std::size_t first_group =
-            static_cast<std::size_t>(chunk) * kGroupsPerChunk;
-        const std::size_t last_group =
-            std::min(first_group + kGroupsPerChunk, num_groups);
-        // One span per destination-batch chunk, on the worker's own thread
-        // lane, so the trace shows how routing work spread across threads.
-        std::optional<obs::ScopedTimer> span;
-        if (obs::tracing_enabled()) {
-          span.emplace("graph.route_chunk dsts=" +
-                           std::to_string(last_group - first_group),
-                       "net");
-        }
-        std::uint64_t chunk_rebuilds = 0;
-        std::uint64_t chunk_reuses = 0;
-        for (std::size_t g = first_group; g < last_group; ++g) {
-          const bool rebuilt =
-              route_group(groups[g].dst,
-                          {sorted + groups[g].first, groups[g].count}, local,
-                          scratch);
-          ++(rebuilt ? chunk_rebuilds : chunk_reuses);
-        }
-        // Release: everything this chunk wrote into its partials slice
-        // happens-before the master's acquire load below.
-        total_rebuilds.fetch_add(chunk_rebuilds, std::memory_order_release);
-        total_reuses.fetch_add(chunk_reuses, std::memory_order_relaxed);
-      } catch (...) {
-        // First thrower wins the slot; error_ready's release store pairs
-        // with the master's acquire load so the exception_ptr itself is
-        // handed off race-free.
-        if (!error_claimed.exchange(true, std::memory_order_acq_rel)) {
-          error = std::current_exception();
-          error_ready.store(true, std::memory_order_release);
-        }
-      }
-    }
-    if (error_claimed.load(std::memory_order_acquire)) {
-      // The region's barrier already guarantees the store happened; this
-      // loop never spins, it only carries the acquire edge.
-      while (!error_ready.load(std::memory_order_acquire)) {
-      }
-      std::rethrow_exception(error);
-    }
-    // Acquire pairs with every chunk's release fetch_add above, making the
-    // partials slices written by the workers visible here.
-    rebuilds = total_rebuilds.load(std::memory_order_acquire);
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const double* const partial = call.partials.data() + chunk * channels;
-      for (std::size_t c = 0; c < channels; ++c) total[c] += partial[c];
-    }
-    reuses = total_reuses.load(std::memory_order_relaxed);
-  }
+    chunk_rebuild_sum.fetch_add(chunk_rebuilds, std::memory_order_relaxed);
+  });
+  const std::uint64_t rebuilds = chunk_rebuild_sum.load();
+  const std::uint64_t reuses = num_groups - rebuilds;
 
   note_scratch_bytes(call.bytes());
 

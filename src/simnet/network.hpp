@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -146,6 +147,19 @@ class Network {
   NetworkOptions options_;
 };
 
+/// The deterministic parallel accumulation behind both route_all backends.
+/// `route_chunk(c, loads)` adds chunk c's flows into `loads`, a zeroed
+/// array of total.size() channels. The chunks run through
+/// sweep::parallel_for: chunk 0 accumulates straight into `total` (which
+/// must start zeroed), every other chunk into its own slice of `partials`
+/// (a caller-owned arena, grown as needed and reused across calls), and the
+/// slices are then added into `total` in chunk order. With a chunk count
+/// derived from the input only, the result is byte-identical whichever
+/// threads ran the chunks.
+void route_chunks(std::size_t num_chunks, std::span<double> total,
+                  std::vector<double>& partials,
+                  const std::function<void(std::size_t, double*)>& route_chunk);
+
 /// Torus backend: dimension-ordered minimal ring routing (see header
 /// comment for channel conventions). Channels may carry per-dimension
 /// capacities (Titan-style weighted tori): routing is capacity-blind
@@ -170,7 +184,8 @@ class TorusNetwork final : public Network {
   std::size_t num_channels() const override;
   LinkLoads make_loads() const override;
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// OpenMP-parallel specialized routing; bit-identical to the serial walk.
+  /// Specialized routing in chunks of flows on the shared pool (see
+  /// route_chunks); byte-identical at any thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   std::int64_t path_hops(const Flow& flow) const override;
   std::vector<Flow> halo_flows(double bytes) const override;

@@ -5,6 +5,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "sweep/pool.hpp"
+
 namespace npac::strassen {
 
 Matrix::Matrix(std::int64_t rows, std::int64_t cols, double fill)
@@ -73,16 +75,23 @@ Matrix classical_multiply(const Matrix& a, const Matrix& b) {
   const std::int64_t m = b.cols();
   Matrix c(n, m);
 
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const double aik = a.at(i, kk);
-      if (aik == 0.0) continue;
-      for (std::int64_t j = 0; j < m; ++j) {
-        c.at(i, j) += aik * b.at(kk, j);
+  // Rows are independent, so the bytes do not depend on the split; blocks
+  // of at least 2^16 multiply-adds keep small products off the pool.
+  constexpr std::int64_t kMinMultiplyAddsPerBlock = std::int64_t{1} << 16;
+  const std::int64_t blocks = std::clamp<std::int64_t>(
+      n * k * m / kMinMultiplyAddsPerBlock, 1, std::max<std::int64_t>(n, 1));
+  sweep::parallel_for(blocks, [&](std::int64_t block) {
+    const auto [begin, end] = sweep::balanced_range(n, blocks, block);
+    for (std::int64_t i = begin; i < end; ++i) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const double aik = a.at(i, kk);
+        if (aik == 0.0) continue;
+        for (std::int64_t j = 0; j < m; ++j) {
+          c.at(i, j) += aik * b.at(kk, j);
+        }
       }
     }
-  }
+  });
   return c;
 }
 

@@ -50,8 +50,9 @@ class Matrix {
 Matrix operator+(const Matrix& a, const Matrix& b);
 Matrix operator-(const Matrix& a, const Matrix& b);
 
-/// Blocked classical multiply (i-k-j order), OpenMP-parallel over row
-/// blocks. The correctness oracle for the Strassen–Winograd kernel.
+/// Blocked classical multiply (i-k-j order), parallel over row blocks on
+/// sweep::parallel_for. The correctness oracle for the Strassen–Winograd
+/// kernel.
 Matrix classical_multiply(const Matrix& a, const Matrix& b);
 
 /// Flop count of the classical algorithm: 2 n m k.

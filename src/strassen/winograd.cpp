@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sweep/pool.hpp"
+
 namespace npac::strassen {
 
 namespace {
@@ -31,7 +33,7 @@ void place_quadrant(Matrix& m, int qi, int qj, const Matrix& block) {
 }
 
 Matrix multiply_rec(const Matrix& a, const Matrix& b,
-                    const WinogradOptions& options, int depth) {
+                    const WinogradOptions& options) {
   const std::int64_t n = a.rows();
   if (n <= options.cutoff || n % 2 != 0) {
     return classical_multiply(a, b);
@@ -56,38 +58,27 @@ Matrix multiply_rec(const Matrix& a, const Matrix& b,
   const Matrix t3 = b22 - b12;
   const Matrix t4 = t2 - b21;
 
+  // The seven products in four sections on the shared pool; inside a
+  // section (a task of a multi-worker run) deeper levels run inline.
   Matrix p1, p2, p3, p4, p5, p6, p7;
-  const bool spawn = depth < options.task_depth;
-  if (spawn) {
-#pragma omp parallel sections if (depth == 0)
-    {
-#pragma omp section
-      {
-        p1 = multiply_rec(a11, b11, options, depth + 1);
-        p2 = multiply_rec(a12, b21, options, depth + 1);
-      }
-#pragma omp section
-      {
-        p3 = multiply_rec(s4, b22, options, depth + 1);
-        p4 = multiply_rec(a22, t4, options, depth + 1);
-      }
-#pragma omp section
-      {
-        p5 = multiply_rec(s1, t1, options, depth + 1);
-        p6 = multiply_rec(s2, t2, options, depth + 1);
-      }
-#pragma omp section
-      { p7 = multiply_rec(s3, t3, options, depth + 1); }
+  sweep::parallel_for(4, [&](std::int64_t section) {
+    switch (section) {
+      case 0:
+        p1 = multiply_rec(a11, b11, options);
+        p2 = multiply_rec(a12, b21, options);
+        break;
+      case 1:
+        p3 = multiply_rec(s4, b22, options);
+        p4 = multiply_rec(a22, t4, options);
+        break;
+      case 2:
+        p5 = multiply_rec(s1, t1, options);
+        p6 = multiply_rec(s2, t2, options);
+        break;
+      default:
+        p7 = multiply_rec(s3, t3, options);
     }
-  } else {
-    p1 = multiply_rec(a11, b11, options, depth + 1);
-    p2 = multiply_rec(a12, b21, options, depth + 1);
-    p3 = multiply_rec(s4, b22, options, depth + 1);
-    p4 = multiply_rec(a22, t4, options, depth + 1);
-    p5 = multiply_rec(s1, t1, options, depth + 1);
-    p6 = multiply_rec(s2, t2, options, depth + 1);
-    p7 = multiply_rec(s3, t3, options, depth + 1);
-  }
+  });
 
   // Winograd's 7 additive recombinations.
   const Matrix u2 = p1 + p6;
@@ -113,7 +104,7 @@ Matrix strassen_winograd(const Matrix& a, const Matrix& b,
   if (options.cutoff < 1) {
     throw std::invalid_argument("strassen_winograd: cutoff must be >= 1");
   }
-  return multiply_rec(a, b, options, 0);
+  return multiply_rec(a, b, options);
 }
 
 double strassen_flops(std::int64_t n, int levels) {

@@ -2,9 +2,10 @@
 //
 // The 7-multiplication, 15-addition Winograd variant of Strassen's
 // algorithm — the local kernel underlying the CAPS distributed algorithm
-// benchmarked by the paper's Experiment B. Recursion spawns OpenMP tasks
-// near the root and falls back to the blocked classical multiply at the
-// cutoff or on odd dimensions.
+// benchmarked by the paper's Experiment B. Each level runs its seven
+// products as four sections on sweep::parallel_for (so only the top level
+// fans out; nested levels run inline) and falls back to the blocked
+// classical multiply at the cutoff or on odd dimensions.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@ namespace npac::strassen {
 
 struct WinogradOptions {
   std::int64_t cutoff = 64;  ///< classical fallback below this dimension
-  int task_depth = 3;        ///< levels that spawn parallel OpenMP tasks
 };
 
 /// C = A * B for square matrices via Strassen–Winograd. Dimensions need not

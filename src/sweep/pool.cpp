@@ -30,6 +30,15 @@ int resolved_thread_count(int threads) {
   return count;
 }
 
+std::pair<std::int64_t, std::int64_t> balanced_range(std::int64_t n,
+                                                     std::int64_t pieces,
+                                                     std::int64_t piece) {
+  const std::int64_t base = n / pieces;
+  const std::int64_t extra = n % pieces;
+  const std::int64_t begin = piece * base + std::min(piece, extra);
+  return {begin, begin + base + (piece < extra ? 1 : 0)};
+}
+
 // ---------------------------------------------------------------------------
 // StealDeque — bounded Chase-Lev, seq_cst handshake instead of fences.
 //
@@ -106,6 +115,10 @@ std::string worker_metric(int worker_index, const char* suffix) {
   return "pool.worker" + std::to_string(worker_index) + suffix;
 }
 
+/// Nonzero while this thread runs tasks of a multi-worker run (of any
+/// pool); parallel_for then runs inline instead of fanning out again.
+thread_local int t_multi_worker_depth = 0;
+
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
@@ -129,17 +142,6 @@ ThreadPool::~ThreadPool() {
   }
   work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-}
-
-std::pair<std::int64_t, std::int64_t> ThreadPool::chunk_range(
-    std::int64_t chunk) const {
-  // Balanced split of [0, num_tasks_) into num_chunks_ contiguous pieces:
-  // the first (num_tasks_ % num_chunks_) chunks carry one extra index.
-  const std::int64_t base = num_tasks_ / num_chunks_;
-  const std::int64_t extra = num_tasks_ % num_chunks_;
-  const std::int64_t begin = chunk * base + std::min(chunk, extra);
-  const std::int64_t end = begin + base + (chunk < extra ? 1 : 0);
-  return {begin, end};
 }
 
 void ThreadPool::record_error() {
@@ -201,6 +203,8 @@ void ThreadPool::work_through_run(
   std::uint64_t busy_ns = 0;
   std::uint64_t steals = 0;
   std::uint64_t steal_fails = 0;
+  const int nesting = worker_count_ > 1 ? 1 : 0;
+  t_multi_worker_depth += nesting;
 
   int idle_spins = 0;
   while (true) {
@@ -235,6 +239,7 @@ void ThreadPool::work_through_run(
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
+  t_multi_worker_depth -= nesting;
 
   if (registry != nullptr && (tasks_executed > 0 || steals > 0)) {
     if (tasks_executed > 0) {
@@ -256,7 +261,9 @@ void ThreadPool::worker_loop(int worker_index) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     // Idle time is the wait between runs; recorded per wake-up so the
-    // final pre-shutdown wait is charged too.
+    // final pre-shutdown wait is charged too. It is charged only if the
+    // registry is still installed: a long-lived pool (shared_pool()) may
+    // wake after the registry it fell asleep under was destroyed.
     obs::Registry* const registry = obs::Registry::current();
     std::chrono::steady_clock::time_point idle_start;
     // npaclint:allow(D3) worker idle_ns metric only; never feeds output
@@ -264,7 +271,7 @@ void ThreadPool::worker_loop(int worker_index) {
     work_ready_.wait(lock, [&] {
       return stopping_ || generation_ != seen_generation;
     });
-    if (registry != nullptr) {
+    if (registry != nullptr && registry == obs::Registry::current()) {
       registry->counter(worker_metric(worker_index, ".idle_ns"))
           // npaclint:allow(D3) worker idle_ns metric only; never feeds output
           .add(elapsed_ns(idle_start, std::chrono::steady_clock::now()));
@@ -286,14 +293,19 @@ void ThreadPool::worker_loop(int worker_index) {
 
 void ThreadPool::run_indexed(std::int64_t num_tasks,
                              const std::function<void(std::int64_t)>& fn) {
-  if (num_tasks <= 0) return;
+  if (!try_run_indexed(num_tasks, fn)) {
+    throw std::logic_error(
+        "ThreadPool::run_indexed: pool is already mid-run (not reentrant)");
+  }
+}
+
+bool ThreadPool::try_run_indexed(std::int64_t num_tasks,
+                                 const std::function<void(std::int64_t)>& fn) {
+  if (num_tasks <= 0) return true;
   obs::Registry* const registry = obs::Registry::current();
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (running_) {
-      throw std::logic_error(
-          "ThreadPool::run_indexed: pool is already mid-run (not reentrant)");
-    }
+    if (running_) return false;
     // Workers from the previous run may still be scanning deques for a
     // final empty pop/steal; seeding must wait until they are all back
     // asleep so the foreign pushes below race with nothing.
@@ -357,6 +369,21 @@ void ThreadPool::run_indexed(std::int64_t num_tasks,
     error = std::exchange(first_error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
+  return true;
+}
+
+ThreadPool& shared_pool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+void parallel_for(std::int64_t n,
+                  const std::function<void(std::int64_t)>& fn) {
+  if (n > 1 && t_multi_worker_depth == 0) {
+    ThreadPool& pool = shared_pool();
+    if (pool.num_threads() > 1 && pool.try_run_indexed(n, fn)) return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace npac::sweep

@@ -22,7 +22,12 @@
 //  * deterministic randomness: every task derives its RNG seed from
 //    (base_seed, task_index) alone via task_seed(), never from thread ids
 //    or scheduling order, so a sweep with threads=N is bit-identical to
-//    threads=1 no matter who stole what.
+//    threads=1 no matter who stole what;
+//  * one runtime: library kernels (torus and graph routing, brute-force
+//    bisection, the matrix kernels) parallelize through parallel_for on
+//    one process-wide shared_pool(), and a loop nested inside a task of a
+//    multi-worker run executes inline, so nested parallelism never
+//    oversubscribes the cores.
 #pragma once
 
 #include <array>
@@ -35,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/hot.hpp"
@@ -49,6 +55,13 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::int64_t task_index);
 /// The worker count a ThreadPool(threads) will actually use: values < 1
 /// select std::thread::hardware_concurrency(), floored at 1.
 int resolved_thread_count(int threads);
+
+/// The half-open index range of piece `piece` when [0, n) is split into
+/// `pieces` contiguous, balanced pieces: the first n % pieces pieces carry
+/// one extra index.
+std::pair<std::int64_t, std::int64_t> balanced_range(std::int64_t n,
+                                                     std::int64_t pieces,
+                                                     std::int64_t piece);
 
 /// Bounded single-owner/multi-thief deque of chunk ids — the Chase-Lev
 /// work-stealing deque (Chase & Lev, SPAA '05) in the fence-free
@@ -117,8 +130,15 @@ class ThreadPool {
   /// run's counter updates are flushed before run_indexed returns, so a
   /// caller may read the registry immediately afterwards. With no
   /// registry installed each chunk pays one pointer load and one branch.
+  ///
+  /// Throws std::logic_error when the pool is already mid-run.
   void run_indexed(std::int64_t num_tasks,
                    const std::function<void(std::int64_t)>& fn);
+
+  /// run_indexed, except that a pool already mid-run is left alone and
+  /// false is returned without running anything.
+  bool try_run_indexed(std::int64_t num_tasks,
+                       const std::function<void(std::int64_t)>& fn);
 
  private:
   // One worker's deque plus its padding; separate cache lines per worker.
@@ -138,9 +158,10 @@ class ThreadPool {
   /// id or StealDeque::kEmpty; counts outcomes into the referenced locals.
   std::int64_t try_steal(int worker_index, std::uint64_t& steals,
                          std::uint64_t& steal_fails);
-  /// The half-open index range of chunk `chunk` (balanced split of
-  /// [0, num_tasks_) into num_chunks_ contiguous pieces).
-  std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t chunk) const;
+  /// The half-open index range of chunk `chunk`.
+  std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t chunk) const {
+    return balanced_range(num_tasks_, num_chunks_, chunk);
+  }
   void record_error();
 
   // --- cold-path coordination (mutex-guarded; touched per run, not per
@@ -177,5 +198,18 @@ std::vector<T> parallel_map(ThreadPool& pool, std::int64_t n, Fn&& fn) {
   });
   return out;
 }
+
+/// The process-wide pool behind parallel_for: hardware concurrency
+/// workers, created on first use and shared by every caller.
+ThreadPool& shared_pool();
+
+/// Runs fn(i) for every i in [0, n) on shared_pool(), and blocks until all
+/// complete. It runs inline on the calling thread, in index order, when
+/// the caller is already running a task of a multi-worker run, when the
+/// shared pool has one worker, or when the shared pool is busy with
+/// another thread's loop. Callers keep results independent of which case
+/// applied: index-addressed writes, and reductions over partials in index
+/// order, with n derived from the input size only.
+void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
 }  // namespace npac::sweep

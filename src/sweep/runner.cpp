@@ -591,8 +591,7 @@ int Runner::finish() {
 
 core::ExperimentEngine& Runner::process_engine() {
   static SweepContext context;
-  static ThreadPool pool(0);  // hardware concurrency
-  static SweepEngine engine(context, pool);
+  static SweepEngine engine(context, shared_pool());
   return engine;
 }
 

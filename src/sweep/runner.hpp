@@ -4,7 +4,9 @@
 // task_seed, and table/CSV result emission.
 //
 // Flags every driver accepts:
-//   --threads N        worker count (< 1 selects hardware concurrency)
+//   --threads N        worker count (< 1 selects hardware concurrency);
+//                      at N > 1 the nested parallel loops of library
+//                      kernels run inline on those workers
 //   --seed S           base seed of every per-row task_seed
 //   --csv PATH         append each grid to a CSV artifact
 //   --fast             drivers may skip their most expensive grid points
@@ -264,9 +266,9 @@ class Runner {
   static int main(const std::string& title, int argc, char** argv,
                   const std::function<void(Runner&)>& body);
 
-  /// Process-wide pooled engine — one static SweepContext + hardware-sized
-  /// ThreadPool + SweepEngine — for callers without a Runner, e.g. test
-  /// binaries sharing memoized results across their test cases.
+  /// Process-wide pooled engine — one static SweepContext + SweepEngine on
+  /// shared_pool() — for callers without a Runner, e.g. test binaries
+  /// sharing memoized results across their test cases.
   static core::ExperimentEngine& process_engine();
 
  private:

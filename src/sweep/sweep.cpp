@@ -64,9 +64,9 @@ std::vector<SchedulerSweepRow> run_scheduler_sweep(
 
     TraceConfig config = grid.trace;
     config.contention_fraction = row.contention_fraction;
-    const auto jobs = generate_trace(grid.machine, config, row.trace_seed);
-    const auto result =
-        replay_trace(grid.machine, row.policy, jobs, oracle);
+    const auto result = core::simulate_schedule(
+        grid.machine, row.policy,
+        generate_trace(grid.machine, config, row.trace_seed), oracle);
     row.makespan_seconds = result.makespan_seconds;
     row.mean_slowdown = result.mean_slowdown;
     row.mean_wait_seconds = result.mean_wait_seconds;
@@ -203,10 +203,10 @@ std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
 
         TraceConfig config = grid.trace;
         config.contention_fraction = row.contention_fraction;
-        const auto jobs =
-            generate_trace(machine.size_pool, config, row.trace_seed);
         const auto allocator = core::make_allocator(machine.spec, oracle);
-        const auto result = replay_trace(*allocator, row.policy, jobs);
+        const auto result = core::simulate_schedule(
+            *allocator, row.policy,
+            generate_trace(machine.size_pool, config, row.trace_seed));
         row.makespan_seconds = result.makespan_seconds;
         row.mean_slowdown = result.mean_slowdown;
         row.mean_wait_seconds = result.mean_wait_seconds;

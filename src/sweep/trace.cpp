@@ -37,7 +37,7 @@ std::vector<std::int64_t> default_trace_sizes(const bgq::Machine& machine) {
 std::vector<core::Job> generate_trace(const bgq::Machine& machine,
                                       const TraceConfig& config,
                                       std::uint64_t seed) {
-  // Config validation lives in the size-pool overload this delegates to.
+  // Config validation lives in SyntheticJobSource, which this drains.
   std::vector<std::int64_t> sizes;
   if (config.sizes.empty()) {
     sizes = default_trace_sizes(machine);  // already feasibility-filtered
@@ -59,63 +59,39 @@ std::vector<core::Job> generate_trace(const bgq::Machine& machine,
 std::vector<core::Job> generate_trace(
     const std::vector<std::int64_t>& size_pool, const TraceConfig& config,
     std::uint64_t seed) {
-  if (config.num_jobs < 0) {
-    throw std::invalid_argument("generate_trace: num_jobs must be >= 0");
-  }
-  if (config.contention_fraction < 0.0 || config.contention_fraction > 1.0) {
-    throw std::invalid_argument(
-        "generate_trace: contention_fraction must be in [0, 1]");
-  }
-  if (config.mean_interarrival_seconds < 0.0) {
-    throw std::invalid_argument(
-        "generate_trace: mean_interarrival_seconds must be >= 0");
-  }
-  if (config.min_base_seconds <= 0.0 ||
-      config.max_base_seconds < config.min_base_seconds) {
-    throw std::invalid_argument(
-        "generate_trace: need 0 < min_base_seconds <= max_base_seconds");
-  }
-  const std::vector<std::int64_t>& sizes = size_pool;
-  if (sizes.empty()) {
-    throw std::invalid_argument("generate_trace: no allocatable job sizes");
-  }
-
-  std::uint64_t state = seed;
+  SyntheticJobSource source(size_pool, config, seed);
   std::vector<core::Job> jobs;
   jobs.reserve(static_cast<std::size_t>(config.num_jobs));
-  double arrival = 0.0;
-  for (int i = 0; i < config.num_jobs; ++i) {
-    // Draw order is part of the format: size, base, contention, gap.
-    core::Job job;
-    job.id = i;
-    job.midplanes = sizes[static_cast<std::size_t>(
-        next_u64(state) % static_cast<std::uint64_t>(sizes.size()))];
-    job.base_seconds =
-        config.min_base_seconds +
-        next_unit(state) * (config.max_base_seconds - config.min_base_seconds);
-    job.contention_bound = next_unit(state) < config.contention_fraction;
-    arrival += -config.mean_interarrival_seconds *
-               std::log(1.0 - next_unit(state));
-    job.arrival_seconds = arrival;
-    jobs.push_back(job);
-  }
+  while (const auto job = source.next()) jobs.push_back(*job);
   return jobs;
 }
 
 SyntheticJobSource::SyntheticJobSource(std::vector<std::int64_t> size_pool,
                                        TraceConfig config, std::uint64_t seed)
     : sizes_(std::move(size_pool)), config_(std::move(config)), state_(seed) {
-  // Reuse generate_trace's validation (including the empty-pool throw)
-  // without materializing anything: a zero-job run checks every field.
-  TraceConfig probe = config_;
-  probe.num_jobs = 0;
-  generate_trace(sizes_, probe, seed);
+  if (config_.num_jobs < 0) {
+    throw std::invalid_argument("trace: num_jobs must be >= 0");
+  }
+  if (config_.contention_fraction < 0.0 || config_.contention_fraction > 1.0) {
+    throw std::invalid_argument("trace: contention_fraction must be in [0, 1]");
+  }
+  if (config_.mean_interarrival_seconds < 0.0) {
+    throw std::invalid_argument(
+        "trace: mean_interarrival_seconds must be >= 0");
+  }
+  if (config_.min_base_seconds <= 0.0 ||
+      config_.max_base_seconds < config_.min_base_seconds) {
+    throw std::invalid_argument(
+        "trace: need 0 < min_base_seconds <= max_base_seconds");
+  }
+  if (sizes_.empty()) {
+    throw std::invalid_argument("trace: no allocatable job sizes");
+  }
 }
 
 std::optional<core::Job> SyntheticJobSource::next() {
   if (produced_ >= config_.num_jobs) return std::nullopt;
-  // Draw order is part of the format: size, base, contention, gap —
-  // identical to the generate_trace loop body.
+  // Draw order is part of the format: size, base, contention, gap.
   core::Job job;
   job.id = produced_;
   job.midplanes = sizes_[static_cast<std::size_t>(
@@ -233,19 +209,6 @@ std::vector<core::Job> parse_trace(const std::string& text) {
     jobs.push_back(job);
   }
   return jobs;
-}
-
-core::ScheduleResult replay_trace(const bgq::Machine& machine,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs,
-                                  const core::PartitionOracle& oracle) {
-  return core::simulate_schedule(machine, policy, jobs, oracle);
-}
-
-core::ScheduleResult replay_trace(core::PartitionAllocator& allocator,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs) {
-  return core::simulate_schedule(allocator, policy, jobs);
 }
 
 }  // namespace npac::sweep

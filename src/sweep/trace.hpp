@@ -52,21 +52,19 @@ std::vector<core::Job> generate_trace(const bgq::Machine& machine,
 /// target machine's allocation units — midplanes, chassis, or pod
 /// subtrees). The draw sequence is identical to the bgq overload with the
 /// same effective pool, so cross-family sweeps can replay one trace on
-/// every machine of an equal-unit-count tier.
+/// every machine of an equal-unit-count tier. Drains a SyntheticJobSource.
 std::vector<core::Job> generate_trace(
     const std::vector<std::int64_t>& size_pool, const TraceConfig& config,
     std::uint64_t seed);
 
-/// Streaming twin of generate_trace: yields the identical job sequence
-/// (same draws in the same order from the same seed) one job at a time,
-/// so the event-driven scheduler can consume million-job traces without
-/// a million-element vector ever existing. Element-for-element equality
-/// with generate_trace is pinned in tests.
+/// The one draw loop behind every synthetic trace: yields the job sequence
+/// one job at a time, so the event-driven scheduler can consume
+/// million-job traces without a million-element vector ever existing;
+/// generate_trace collects the same sequence into a vector.
 class SyntheticJobSource final : public core::JobSource {
  public:
-  /// `config.sizes` is ignored in favor of `size_pool` (mirroring the
-  /// size-pool generate_trace overload); config is validated eagerly with
-  /// the same throws as generate_trace.
+  /// `config.sizes` is ignored in favor of `size_pool`. Throws
+  /// std::invalid_argument for an invalid config or an empty pool.
   SyntheticJobSource(std::vector<std::int64_t> size_pool, TraceConfig config,
                      std::uint64_t seed);
   std::optional<core::Job> next() override;
@@ -91,18 +89,6 @@ std::string format_trace(const std::vector<core::Job>& jobs);
 /// Inverse of format_trace. Throws std::invalid_argument on malformed
 /// input.
 std::vector<core::Job> parse_trace(const std::string& text);
-
-/// Replays a trace through the scheduler simulation — convenience wrapper
-/// so trace producers and consumers agree on the entry point.
-core::ScheduleResult replay_trace(const bgq::Machine& machine,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs,
-                                  const core::PartitionOracle& oracle);
-
-/// Same on an arbitrary allocator family (the allocator must start empty).
-core::ScheduleResult replay_trace(core::PartitionAllocator& allocator,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs);
 
 // --- deterministic inline RNG helpers (exposed for tests) ----------------
 

@@ -10,14 +10,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "simnet/pingpong.hpp"
 #include "simnet/traffic.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "sweep/pool.hpp"
 
 namespace npac::simnet {
 namespace {
@@ -510,46 +508,40 @@ TEST(GraphNetworkTest, RouteAllParityWithPreRefactorReference) {
   }
 }
 
-TEST(GraphNetworkTest, RouteAllIsByteIdenticalAcrossThreadCounts) {
-  // The determinism contract: byte-identical loads at 1, 2, 7, and 16
-  // OpenMP threads on a skewed-group workload. Exact == comparison — any
-  // thread-count-dependent accumulation order would differ in the last ulp
-  // long before it differed at 1e-9. Without OpenMP the loop still pins
-  // that repeated route_all calls (warm scratch, cached overlays) match
-  // the cold first call.
+TEST(GraphNetworkTest, RouteAllIsByteIdenticalPooledAndInline) {
+  // The determinism contract on a skewed-group workload (120 destinations,
+  // 8 chunks): a top-level call fans its chunks out on the shared pool, a
+  // call from a task of a 2-worker run routes every chunk inline, and a
+  // repeat call runs on warm scratch and cached overlays. Exact ==
+  // comparison — any schedule-dependent accumulation order would differ
+  // in the last ulp long before it differed at 1e-9.
   const topo::Torus torus({6, 5, 4});
   const auto flows = skewed_group_flows(torus.num_vertices());
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-#endif
   for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
     const GraphNetwork net(torus.build_graph(), unit_bandwidth(tie));
-#ifdef _OPENMP
-    omp_set_num_threads(1);
-#endif
-    const LinkLoads reference = net.route_all(flows);
-    for (const int threads : {2, 7, 16}) {
-#ifdef _OPENMP
-      omp_set_num_threads(threads);
-#endif
-      const LinkLoads got = net.route_all(flows);
-      ASSERT_EQ(got.num_channels(), reference.num_channels());
-      for (std::size_t c = 0; c < got.num_channels(); ++c) {
-        ASSERT_EQ(got[c], reference[c])
-            << "channel " << c << " at " << threads << " threads";
+    const LinkLoads pooled = net.route_all(flows);
+    std::optional<LinkLoads> inline_loads;
+    sweep::ThreadPool pair(2);
+    pair.run_indexed(2, [&](std::int64_t i) {
+      if (i == 0) inline_loads = net.route_all(flows);
+    });
+    const LinkLoads repeat = net.route_all(flows);
+    ASSERT_TRUE(inline_loads.has_value());
+    const LinkLoads& inlined = *inline_loads;
+    for (const LinkLoads* got : {&inlined, &repeat}) {
+      ASSERT_EQ(got->num_channels(), pooled.num_channels());
+      for (std::size_t c = 0; c < pooled.num_channels(); ++c) {
+        ASSERT_EQ((*got)[c], pooled[c]) << "channel " << c;
       }
     }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
 }
 
-TEST(GraphNetworkTest, UnreachableFlowSurfacesUnderForcedParallelRouting) {
-  // Same shape as RouteAllSurfacesInvalidFlowsAcrossManyGroups, but with
-  // the OpenMP thread count forced up so the exception genuinely crosses a
-  // parallel region, and a follow-up call proving the thread-local scratch
-  // arenas are not poisoned by the aborted run.
+TEST(GraphNetworkTest, UnreachableFlowSurfacesFromPooledAndInlineRouting) {
+  // Same shape as RouteAllSurfacesInvalidFlowsAcrossManyGroups: the error
+  // must cross the shared pool's run (top level) and an inline run (a task
+  // of a 2-worker run), and a follow-up call proves the thread-local
+  // scratch arenas are not poisoned by the aborted run.
   std::vector<topo::EdgeSpec> edges;
   for (std::int64_t v = 0; v + 1 < 48; ++v) edges.push_back({v, v + 1, 1.0});
   for (std::int64_t v = 48; v + 1 < 64; ++v) {
@@ -560,16 +552,15 @@ TEST(GraphNetworkTest, UnreachableFlowSurfacesUnderForcedParallelRouting) {
   std::vector<Flow> flows;
   for (topo::VertexId dst = 1; dst < 48; ++dst) flows.push_back({0, dst, 1.0});
   flows.push_back({0, 50, 1.0});  // crosses the component boundary
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(7);
-#endif
   EXPECT_THROW(net.route_all(flows), std::invalid_argument);
+  sweep::ThreadPool pair(2);
+  EXPECT_THROW(pair.run_indexed(2,
+                                [&](std::int64_t i) {
+                                  if (i == 0) (void)net.route_all(flows);
+                                }),
+               std::invalid_argument);
   flows.pop_back();
   const LinkLoads after = net.route_all(flows);
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
   // Every flow leaves vertex 0 along the single path, so the first channel
   // carries all 47 of them.
   EXPECT_DOUBLE_EQ(after[net.channel_of(0, 1)], 47.0);

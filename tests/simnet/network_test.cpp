@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+
+#include "sweep/pool.hpp"
 
 namespace npac::simnet {
 namespace {
@@ -165,6 +168,43 @@ TEST(NetworkTest, RouteAllMatchesSequentialRouting) {
   ASSERT_EQ(parallel.raw().size(), sequential.raw().size());
   for (std::size_t i = 0; i < parallel.raw().size(); ++i) {
     EXPECT_NEAR(parallel.raw()[i], sequential.raw()[i], 1e-6) << "channel " << i;
+  }
+}
+
+TEST(NetworkTest, RouteAllIsByteIdenticalPooledAndInline) {
+  // 6000 flows on a 720-channel torus route as 5 chunks. Byte sizes span
+  // six orders of magnitude and are not dyadic, so any schedule-dependent
+  // merge order would change low bits. A top-level call fans the chunks out
+  // on the shared pool, a call from a task of a 2-worker run routes them
+  // inline, and a repeat call runs on the warm partials arena: all three
+  // must agree exactly, under both tie-breaks (even dimensions, so
+  // antipodal ties occur).
+  const topo::Torus torus({6, 5, 4});
+  std::vector<Flow> flows;
+  for (std::int64_t i = 0; i < 6000; ++i) {
+    flows.push_back({(i * 37) % 120, (i * i + 11 * i) % 120,
+                     1.0 / static_cast<double>(1 + i % 13) +
+                         (i % 7 == 0 ? 1.0e6 : 0.0)});
+  }
+  for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
+    NetworkOptions options;
+    options.tie_break = tie;
+    const TorusNetwork net(torus, options);
+    const LinkLoads pooled = net.route_all(flows);
+    std::optional<LinkLoads> inline_loads;
+    sweep::ThreadPool pair(2);
+    pair.run_indexed(2, [&](std::int64_t i) {
+      if (i == 0) inline_loads = net.route_all(flows);
+    });
+    const LinkLoads repeat = net.route_all(flows);
+    ASSERT_TRUE(inline_loads.has_value());
+    const LinkLoads& inlined = *inline_loads;
+    for (const LinkLoads* got : {&inlined, &repeat}) {
+      ASSERT_EQ(got->raw().size(), pooled.raw().size());
+      for (std::size_t c = 0; c < pooled.raw().size(); ++c) {
+        ASSERT_EQ(got->raw()[c], pooled.raw()[c]) << "channel " << c;
+      }
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 // Strassen-Winograd kernel tests: correctness against classical GEMM
-// across sizes, cutoffs and parallel task depths, plus the flop model used
-// by the computation-time estimates.
+// across sizes and cutoffs, pooled-versus-inline byte identity, plus the
+// flop model used by the computation-time estimates.
 #include "strassen/winograd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+
+#include "sweep/pool.hpp"
 
 namespace npac::strassen {
 namespace {
@@ -62,18 +64,20 @@ TEST_P(WinogradSizeSweep, MatchesClassical) {
 INSTANTIATE_TEST_SUITE_P(Sizes, WinogradSizeSweep,
                          ::testing::Values(1, 2, 16, 24, 32, 48, 64, 96, 128));
 
-TEST(WinogradTest, ParallelTaskDepthsAgree) {
+TEST(WinogradTest, PooledAndInlineCallsAgreeExactly) {
+  // A top-level call forks its sections on the shared pool; a call from a
+  // task of a 2-worker run does every level inline. The bytes must match.
   const Matrix a = Matrix::random(64, 64, 42);
   const Matrix b = Matrix::random(64, 64, 43);
-  WinogradOptions serial;
-  serial.cutoff = 8;
-  serial.task_depth = 0;
-  WinogradOptions parallel;
-  parallel.cutoff = 8;
-  parallel.task_depth = 3;
-  const Matrix x = strassen_winograd(a, b, serial);
-  const Matrix y = strassen_winograd(a, b, parallel);
-  EXPECT_LT(Matrix::max_abs_diff(x, y), 1e-12);
+  WinogradOptions options;
+  options.cutoff = 8;
+  const Matrix pooled = strassen_winograd(a, b, options);
+  Matrix inline_product;
+  sweep::ThreadPool pair(2);
+  pair.run_indexed(2, [&](std::int64_t i) {
+    if (i == 0) inline_product = strassen_winograd(a, b, options);
+  });
+  EXPECT_EQ(pooled, inline_product);
 }
 
 TEST(WinogradTest, Validation) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -230,6 +231,63 @@ TEST(ThreadPoolTest, CountsTasksWhenARegistryIsInstalled) {
         "pool.worker" + std::to_string(worker) + ".tasks");
   }
   EXPECT_EQ(per_worker, 48u);
+}
+
+TEST(ParallelForTest, CoversEveryIndexOnce) {
+  std::vector<std::atomic<int>> counts(1000);
+  parallel_for(1000, [&](std::int64_t i) {
+    counts[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (const auto& count : counts) EXPECT_EQ(count.load(), 1);
+  parallel_for(0, [](std::int64_t) { FAIL() << "must not run"; });
+}
+
+TEST(ParallelForTest, NestedInATaskOfAMultiWorkerRunRunsInline) {
+  // A task of a 2-worker run calls a pooled loop: no "not reentrant"
+  // throw, and the loop runs on the task's own thread in index order.
+  ThreadPool pool(2);
+  std::vector<std::vector<std::int64_t>> order(2);
+  std::array<bool, 2> same_thread = {true, true};
+  pool.run_indexed(2, [&](std::int64_t task) {
+    const auto caller = std::this_thread::get_id();
+    parallel_for(64, [&](std::int64_t i) {
+      order[static_cast<std::size_t>(task)].push_back(i);
+      if (std::this_thread::get_id() != caller) {
+        same_thread[static_cast<std::size_t>(task)] = false;
+      }
+    });
+  });
+  for (std::size_t task = 0; task < 2; ++task) {
+    ASSERT_EQ(order[task].size(), 64u);
+    for (std::int64_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(order[task][static_cast<std::size_t>(i)], i);
+    }
+    EXPECT_TRUE(same_thread[task]);
+  }
+}
+
+TEST(ParallelForTest, NestedInATaskOfASingleWorkerRunUsesTheSharedPool) {
+  // A task of a 1-worker run is not a multi-worker task: its pooled loop
+  // may fan out on the shared pool, and again nothing throws.
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> counts(256);
+  pool.run_indexed(3, [&](std::int64_t) {
+    parallel_for(256, [&](std::int64_t i) {
+      counts[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  });
+  for (const auto& count : counts) EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ParallelForTest, ErrorsPropagateAndTheSharedPoolStaysUsable) {
+  EXPECT_THROW(parallel_for(100,
+                            [](std::int64_t i) {
+                              if (i == 42) throw std::runtime_error("task 42");
+                            }),
+               std::runtime_error);
+  std::atomic<int> ran{0};
+  parallel_for(100, [&](std::int64_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100);
 }
 
 }  // namespace

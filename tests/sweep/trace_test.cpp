@@ -174,8 +174,8 @@ TEST(TraceTest, ReplayRunsOnNonTorusAllocators) {
   const auto jobs = generate_trace({2, 4, 8}, config, 3);
   const auto allocator =
       core::make_allocator(topo::TopologySpec::fat_tree(8));
-  const auto result =
-      replay_trace(*allocator, core::SchedulerPolicy::kBestBisection, jobs);
+  const auto result = core::simulate_schedule(
+      *allocator, core::SchedulerPolicy::kBestBisection, jobs);
   ASSERT_EQ(result.jobs.size(), jobs.size());
   EXPECT_NEAR(result.mean_slowdown, 1.0, 1e-12);  // layout-flat Clos
 }
@@ -186,7 +186,7 @@ TEST(TraceTest, ReplayMatchesDirectSimulation) {
   const auto jobs = generate_trace(bgq::mira(), config, 5);
   SweepContext context;
   const CachedPartitionOracle oracle(&context);
-  const auto replayed = replay_trace(
+  const auto replayed = core::simulate_schedule(
       bgq::mira(), core::SchedulerPolicy::kBestBisection, jobs, oracle);
   const auto direct = core::simulate_schedule(
       bgq::mira(), core::SchedulerPolicy::kBestBisection, jobs);
