@@ -87,10 +87,12 @@ int main() {
   const std::string serialized = sweep::format_trace(trace);
   const auto replayed = sweep::parse_trace(serialized);
   const sweep::CachedPartitionOracle oracle(&context_sequential);
+  core::CuboidAllocator direct_allocator(bgq::mira(), oracle);
   const auto direct = core::simulate_schedule(
-      bgq::mira(), core::SchedulerPolicy::kBestBisection, trace, oracle);
+      direct_allocator, core::SchedulerPolicy::kBestBisection, trace);
+  core::CuboidAllocator roundtrip_allocator(bgq::mira(), oracle);
   const auto roundtrip = core::simulate_schedule(
-      bgq::mira(), core::SchedulerPolicy::kBestBisection, replayed, oracle);
+      roundtrip_allocator, core::SchedulerPolicy::kBestBisection, replayed);
   std::printf(
       "trace round trip: %d jobs serialized to %zu bytes; replay makespan "
       "%.3f s\n(direct) vs %.3f s (parsed back) — %s\n\n",

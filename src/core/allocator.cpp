@@ -37,6 +37,18 @@ std::string to_string(PositionScoring scoring) {
   throw std::invalid_argument("to_string: unknown PositionScoring");
 }
 
+std::int64_t OwnerArray::release(std::int64_t job_id) {
+  std::int64_t freed = 0;
+  for (auto& owner : owner_) {
+    if (owner == job_id) {
+      owner = -1;
+      ++freed;
+    }
+  }
+  free_ += freed;
+  return freed;
+}
+
 // ---------------------------------------------------------------------------
 // Placement / MidplaneGrid (torus-family layout)
 // ---------------------------------------------------------------------------
@@ -56,10 +68,9 @@ std::string Placement::to_string() const {
 }
 
 MidplaneGrid::MidplaneGrid(bgq::Machine machine)
-    : machine_(std::move(machine)), dims_(machine_.shape.dims()) {
-  free_ = machine_.midplanes();
-  owner_.assign(static_cast<std::size_t>(free_), -1);
-}
+    : machine_(std::move(machine)),
+      dims_(machine_.shape.dims()),
+      owners_(machine_.midplanes()) {}
 
 std::size_t MidplaneGrid::cell_index(
     const std::array<std::int64_t, 4>& cell) const {
@@ -98,7 +109,7 @@ bool MidplaneGrid::fits(const Placement& placement) const {
   }
   bool free = true;
   for_each_cell(placement, [&](const std::array<std::int64_t, 4>& cell) {
-    if (owner_[cell_index(cell)] != -1) free = false;
+    if (!owners_.is_free(cell_index(cell))) free = false;
   });
   return free;
 }
@@ -112,78 +123,34 @@ void MidplaneGrid::occupy(const Placement& placement, std::int64_t job_id) {
         "MidplaneGrid::occupy: placement overlaps or is out of range");
   }
   for_each_cell(placement, [&](const std::array<std::int64_t, 4>& cell) {
-    owner_[cell_index(cell)] = job_id;
+    owners_.take(cell_index(cell), job_id);
   });
-  free_ -= placement.midplanes();
-}
-
-std::int64_t MidplaneGrid::release(std::int64_t job_id) {
-  std::int64_t freed = 0;
-  for (auto& owner : owner_) {
-    if (owner == job_id) {
-      owner = -1;
-      ++freed;
-    }
-  }
-  free_ += freed;
-  return freed;
 }
 
 std::optional<Placement> MidplaneGrid::find_placement(
-    const bgq::Geometry& shape) const {
+    const bgq::Geometry& shape, PositionScoring scoring) const {
   // Try every distinct axis assignment of the canonical shape, anchored at
   // every origin. Hosts have at most 96 cells and 24 permutations, so the
   // scan is trivial.
-  std::array<std::int64_t, 4> extent = shape.dims();
-  std::sort(extent.begin(), extent.end());
-  do {
-    Placement placement;
-    placement.extent = extent;
-    bool extent_fits = true;
-    for (int i = 0; i < 4; ++i) {
-      if (extent[static_cast<std::size_t>(i)] >
-          dims_[static_cast<std::size_t>(i)]) {
-        extent_fits = false;
-      }
-    }
-    if (!extent_fits) continue;
-    for (std::int64_t a = 0; a < dims_[0]; ++a) {
-      for (std::int64_t b = 0; b < dims_[1]; ++b) {
-        for (std::int64_t c = 0; c < dims_[2]; ++c) {
-          for (std::int64_t d = 0; d < dims_[3]; ++d) {
-            placement.origin = {a, b, c, d};
-            if (fits(placement)) return placement;
-          }
-        }
-      }
-    }
-  } while (std::next_permutation(extent.begin(), extent.end()));
-  return std::nullopt;
-}
-
-std::optional<Placement> MidplaneGrid::find_placement_best_fit(
-    const bgq::Geometry& shape) const {
   std::optional<Placement> best;
   std::int64_t best_contact = -1;
   std::array<std::int64_t, 4> extent = shape.dims();
   std::sort(extent.begin(), extent.end());
   do {
-    Placement placement;
-    placement.extent = extent;
     bool extent_fits = true;
-    for (int i = 0; i < 4; ++i) {
-      if (extent[static_cast<std::size_t>(i)] >
-          dims_[static_cast<std::size_t>(i)]) {
-        extent_fits = false;
-      }
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (extent[i] > dims_[i]) extent_fits = false;
     }
     if (!extent_fits) continue;
+    Placement placement;
+    placement.extent = extent;
     for (std::int64_t a = 0; a < dims_[0]; ++a) {
       for (std::int64_t b = 0; b < dims_[1]; ++b) {
         for (std::int64_t c = 0; c < dims_[2]; ++c) {
           for (std::int64_t d = 0; d < dims_[3]; ++d) {
             placement.origin = {a, b, c, d};
             if (!fits(placement)) continue;
+            if (scoring == PositionScoring::kScanOrder) return placement;
             const std::int64_t contact = boundary_contact(placement);
             if (contact > best_contact) {
               best_contact = contact;
@@ -223,7 +190,7 @@ std::int64_t MidplaneGrid::boundary_contact(const Placement& placement) const {
               cell[dim] = (placement.origin[dim] + neighbor_offset % dims_[dim] +
                            dims_[dim]) %
                           dims_[dim];
-              if (owner_[cell_index(cell)] != -1) ++contact;
+              if (!owners_.is_free(cell_index(cell))) ++contact;
             }
           }
         }
@@ -280,9 +247,7 @@ std::optional<Partition> CuboidAllocator::try_place(std::int64_t size,
                                                     std::int64_t job_id) {
   const auto& geometries = geometries_for(size);
   const bgq::Geometry& shape = geometries.at(candidate);
-  const auto placement = position_scoring() == PositionScoring::kBestFit
-                             ? grid_.find_placement_best_fit(shape)
-                             : grid_.find_placement(shape);
+  const auto placement = grid_.find_placement(shape, position_scoring());
   if (!placement) return std::nullopt;
   grid_.occupy(*placement, job_id);
   Partition partition;
@@ -295,111 +260,74 @@ std::optional<Partition> CuboidAllocator::try_place(std::int64_t size,
   return partition;
 }
 
-std::int64_t CuboidAllocator::release(std::int64_t job_id) {
-  return grid_.release(job_id);
-}
-
 // ---------------------------------------------------------------------------
-// DragonflyAllocator
+// Container placement (dragonfly groups, fat-tree pods)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Occupancy helper shared by the group/pod families: picks the first
-/// `blocks` containers (ascending id) holding at least `per_block` free
-/// units each; empty when fewer qualify. Deterministic by construction.
-std::vector<std::int64_t> pick_containers(
-    const std::vector<std::int64_t>& owner, std::int64_t container_size,
-    std::int64_t blocks, std::int64_t per_block) {
-  const std::int64_t containers =
-      static_cast<std::int64_t>(owner.size()) / container_size;
-  std::vector<std::int64_t> chosen;
-  for (std::int64_t c = 0; c < containers &&
-                           static_cast<std::int64_t>(chosen.size()) < blocks;
-       ++c) {
-    std::int64_t free = 0;
-    for (std::int64_t u = 0; u < container_size; ++u) {
-      if (owner[static_cast<std::size_t>(c * container_size + u)] == -1) {
-        ++free;
-      }
-    }
-    if (free >= per_block) chosen.push_back(c);
-  }
-  if (static_cast<std::int64_t>(chosen.size()) < blocks) chosen.clear();
-  return chosen;
-}
-
-/// Best-fit variant: among all qualifying containers, prefer the ones with
-/// the least free slack (tightest fit), breaking ties by ascending id. The
-/// chosen set is returned in ascending id order so labels and occupancy
-/// order match the scan-order family convention.
-std::vector<std::int64_t> pick_containers_best_fit(
-    const std::vector<std::int64_t>& owner, std::int64_t container_size,
-    std::int64_t blocks, std::int64_t per_block) {
-  const std::int64_t containers =
-      static_cast<std::int64_t>(owner.size()) / container_size;
+/// Placement shared by the group/pod families: picks `blocks` containers
+/// of `container_size` units holding at least `per_block` free units each,
+/// occupies the lowest-id free units of every chosen container, and labels
+/// the partition "<per_block><unit> x <blocks><container>@{ids}" (quality
+/// left to the caller). kScanOrder takes the first qualifying containers
+/// by ascending id; kBestFit the ones with the least free slack (tightest
+/// fit), ties by ascending id. The chosen ids are listed ascending either
+/// way. nullopt (and nothing occupied) when fewer than `blocks` qualify.
+std::optional<Partition> place_in_containers(
+    OwnerArray& owners, std::int64_t container_size, std::int64_t blocks,
+    std::int64_t per_block, PositionScoring scoring, std::int64_t job_id,
+    const char* unit, const char* container) {
+  const std::int64_t containers = owners.size() / container_size;
+  const auto slot = [container_size](std::int64_t c, std::int64_t u) {
+    return static_cast<std::size_t>(c * container_size + u);
+  };
   std::vector<std::pair<std::int64_t, std::int64_t>> qualifying;  // (free, id)
   for (std::int64_t c = 0; c < containers; ++c) {
+    if (scoring == PositionScoring::kScanOrder &&
+        static_cast<std::int64_t>(qualifying.size()) == blocks) {
+      break;
+    }
     std::int64_t free = 0;
     for (std::int64_t u = 0; u < container_size; ++u) {
-      if (owner[static_cast<std::size_t>(c * container_size + u)] == -1) {
-        ++free;
-      }
+      if (owners.is_free(slot(c, u))) ++free;
     }
     if (free >= per_block) qualifying.emplace_back(free, c);
   }
-  if (static_cast<std::int64_t>(qualifying.size()) < blocks) return {};
-  std::sort(qualifying.begin(), qualifying.end());
-  qualifying.resize(static_cast<std::size_t>(blocks));
-  std::vector<std::int64_t> chosen;
-  chosen.reserve(qualifying.size());
-  for (const auto& [free, id] : qualifying) chosen.push_back(id);
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
-}
-
-/// Occupies the lowest-id free units of each chosen container.
-void occupy_containers(std::vector<std::int64_t>& owner,
-                       std::int64_t container_size,
-                       const std::vector<std::int64_t>& containers,
-                       std::int64_t per_block, std::int64_t job_id) {
-  for (const std::int64_t c : containers) {
+  if (static_cast<std::int64_t>(qualifying.size()) < blocks) {
+    return std::nullopt;
+  }
+  if (scoring == PositionScoring::kBestFit) {
+    std::sort(qualifying.begin(), qualifying.end());
+    qualifying.resize(static_cast<std::size_t>(blocks));
+    std::sort(qualifying.begin(), qualifying.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+  }
+  std::ostringstream label;
+  label << per_block << unit << " x " << blocks << container << "@{";
+  for (std::size_t i = 0; i < qualifying.size(); ++i) {
+    const std::int64_t c = qualifying[i].second;
     std::int64_t taken = 0;
     for (std::int64_t u = 0; u < container_size && taken < per_block; ++u) {
-      auto& cell = owner[static_cast<std::size_t>(c * container_size + u)];
-      if (cell == -1) {
-        cell = job_id;
+      if (owners.is_free(slot(c, u))) {
+        owners.take(slot(c, u), job_id);
         ++taken;
       }
     }
+    label << (i > 0 ? "," : "") << c;
   }
-}
-
-std::string container_list(const std::vector<std::int64_t>& containers) {
-  std::ostringstream out;
-  out << "{";
-  for (std::size_t i = 0; i < containers.size(); ++i) {
-    if (i > 0) out << ",";
-    out << containers[i];
-  }
-  out << "}";
-  return out.str();
-}
-
-std::int64_t generic_release(std::vector<std::int64_t>& owner,
-                             std::int64_t& free, std::int64_t job_id) {
-  std::int64_t freed = 0;
-  for (auto& cell : owner) {
-    if (cell == job_id) {
-      cell = -1;
-      ++freed;
-    }
-  }
-  free += freed;
-  return freed;
+  label << "}";
+  Partition partition;
+  partition.label = label.str();
+  partition.units = blocks * per_block;
+  return partition;
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// DragonflyAllocator
+// ---------------------------------------------------------------------------
 
 DragonflyAllocator::DragonflyAllocator(topo::DragonflyConfig config,
                                        const PartitionOracle& oracle)
@@ -408,8 +336,7 @@ DragonflyAllocator::DragonflyAllocator(topo::DragonflyConfig config,
     throw std::invalid_argument(
         "DragonflyAllocator: a, h and groups must be >= 1");
   }
-  free_ = total_units();
-  owner_.assign(static_cast<std::size_t>(free_), -1);
+  owners_ = OwnerArray(total_units());
 }
 
 std::string DragonflyAllocator::descriptor() const {
@@ -479,29 +406,14 @@ std::optional<Partition> DragonflyAllocator::try_place(std::int64_t size,
                                                        std::int64_t job_id) {
   const auto& layouts = layouts_for(size);
   const Layout& layout = layouts.at(candidate);
-  const auto groups =
-      position_scoring() == PositionScoring::kBestFit
-          ? pick_containers_best_fit(owner_, config_.h, layout.groups,
-                                     layout.chassis_per_group)
-          : pick_containers(owner_, config_.h, layout.groups,
-                            layout.chassis_per_group);
-  if (groups.empty()) return std::nullopt;
-  occupy_containers(owner_, config_.h, groups, layout.chassis_per_group,
-                    job_id);
-  free_ -= size;
-  Partition partition;
-  std::ostringstream label;
-  label << layout.chassis_per_group << "ch x " << layout.groups << "gr@"
-        << container_list(groups);
-  partition.label = label.str();
-  partition.units = size;
-  partition.quality = layout.quality;
-  partition.best_quality = layouts.front().quality;
+  auto partition = place_in_containers(
+      owners_, config_.h, layout.groups, layout.chassis_per_group,
+      position_scoring(), job_id, "ch", "gr");
+  if (partition) {
+    partition->quality = layout.quality;
+    partition->best_quality = layouts.front().quality;
+  }
   return partition;
-}
-
-std::int64_t DragonflyAllocator::release(std::int64_t job_id) {
-  return generic_release(owner_, free_, job_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,8 +425,7 @@ FatTreeAllocator::FatTreeAllocator(topo::FatTreeConfig config)
   if (config_.k < 2 || config_.k % 2 != 0) {
     throw std::invalid_argument("FatTreeAllocator: k must be even >= 2");
   }
-  free_ = total_units();
-  owner_.assign(static_cast<std::size_t>(free_), -1);
+  owners_ = OwnerArray(total_units());
 }
 
 std::string FatTreeAllocator::descriptor() const {
@@ -553,29 +464,14 @@ double FatTreeAllocator::block_quality(std::int64_t size) const {
 std::optional<Partition> FatTreeAllocator::try_place(std::int64_t size,
                                                      std::size_t candidate,
                                                      std::int64_t job_id) {
-  const auto pods = pods_for(size);
-  const std::int64_t p = pods.at(candidate);
-  const std::int64_t per_pod = size / p;
-  const auto chosen =
-      position_scoring() == PositionScoring::kBestFit
-          ? pick_containers_best_fit(owner_, config_.k / 2, p, per_pod)
-          : pick_containers(owner_, config_.k / 2, p, per_pod);
-  if (chosen.empty()) return std::nullopt;
-  occupy_containers(owner_, config_.k / 2, chosen, per_pod, job_id);
-  free_ -= size;
-  const double quality = block_quality(size);
-  Partition partition;
-  std::ostringstream label;
-  label << per_pod << "st x " << p << "pod@" << container_list(chosen);
-  partition.label = label.str();
-  partition.units = size;
-  partition.quality = quality;
-  partition.best_quality = quality;
+  const std::int64_t p = pods_for(size).at(candidate);
+  auto partition = place_in_containers(owners_, config_.k / 2, p, size / p,
+                                       position_scoring(), job_id, "st", "pod");
+  if (partition) {
+    partition->quality = block_quality(size);
+    partition->best_quality = partition->quality;
+  }
   return partition;
-}
-
-std::int64_t FatTreeAllocator::release(std::int64_t job_id) {
-  return generic_release(owner_, free_, job_id);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@
 //    bisection (the Section 5 claim this family demonstrates).
 //
 // Candidate layout *classes* for a job size are quality-ordered, so the
-// SchedulerPolicy trade-offs (first-fit / best-bisection / wait-for-best)
-// are expressed once in core::simulate_schedule and run unchanged on every
-// family. Expensive layout scoring goes through a PartitionOracle so sweeps
-// can memoize it per machine descriptor (sweep::CachedPartitionOracle).
+// SchedulerPolicy trade-offs (first-fit / best-bisection / wait-for-best /
+// EASY backfill) are expressed once in core::StreamingScheduler and run
+// unchanged on every family. Within a class, each family has one placement
+// scan parameterized by PositionScoring, and every family keeps its
+// occupancy in one OwnerArray. Expensive layout scoring goes through a
+// PartitionOracle so sweeps can memoize it per machine descriptor
+// (sweep::CachedPartitionOracle).
 #pragma once
 
 #include <array>
@@ -74,6 +77,56 @@ class PartitionOracle {
 const PartitionOracle& default_partition_oracle();
 
 // ---------------------------------------------------------------------------
+// Shared placement vocabulary: position scoring and unit ownership.
+// ---------------------------------------------------------------------------
+
+/// How an allocator picks the concrete *position* of a layout class when
+/// several free node sets realize it — the axis orthogonal to the layout
+/// class itself (which fixes the partition's shape/quality).
+enum class PositionScoring {
+  /// First fit in the family's deterministic scan order — the pre-refactor
+  /// behavior; the golden schedule digests are pinned to this mode.
+  kScanOrder,
+  /// Fragmentation-aware: among the feasible positions of the class, take
+  /// the one whose *residue* fragments the machine least — tightest
+  /// containers first (dragonfly groups / fat-tree pods with the least
+  /// free slack), and on the torus the cuboid with the most occupied
+  /// neighbor cells (least free surface exposed). Scores what a placement
+  /// leaves behind, not just the shape it takes; ties fall back to scan
+  /// order, so schedules stay deterministic.
+  kBestFit,
+};
+
+std::string to_string(PositionScoring scoring);
+
+/// Unit -> owning job id ledger of one machine, shared by every family: a
+/// slot per midplane, chassis or edge subtree, -1 when free. The free
+/// count moves with every take and release, so no family keeps a second
+/// tally.
+class OwnerArray {
+ public:
+  explicit OwnerArray(std::int64_t units = 0)
+      : owner_(static_cast<std::size_t>(units), -1), free_(units) {}
+
+  std::int64_t size() const { return static_cast<std::int64_t>(owner_.size()); }
+  std::int64_t free_units() const { return free_; }
+  bool is_free(std::size_t unit) const { return owner_[unit] == -1; }
+
+  /// Hands the free `unit` to `job_id`.
+  void take(std::size_t unit, std::int64_t job_id) {
+    owner_[unit] = job_id;
+    --free_;
+  }
+
+  /// Frees every unit owned by `job_id`. Returns the number freed.
+  std::int64_t release(std::int64_t job_id);
+
+ private:
+  std::vector<std::int64_t> owner_;
+  std::int64_t free_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Torus-family layout: cuboid placements on the midplane grid.
 // ---------------------------------------------------------------------------
 
@@ -95,7 +148,7 @@ class MidplaneGrid {
   explicit MidplaneGrid(bgq::Machine machine);
 
   const bgq::Machine& machine() const { return machine_; }
-  std::int64_t free_midplanes() const { return free_; }
+  std::int64_t free_midplanes() const { return owners_.free_units(); }
 
   /// True if every cell of the placement is inside the grid (modulo
   /// wrap-around) and currently free.
@@ -106,20 +159,17 @@ class MidplaneGrid {
   void occupy(const Placement& placement, std::int64_t job_id);
 
   /// Frees every cell owned by `job_id`. Returns the number freed.
-  std::int64_t release(std::int64_t job_id);
+  std::int64_t release(std::int64_t job_id) { return owners_.release(job_id); }
 
   /// Finds a free anchored placement whose canonical shape is `shape`,
-  /// trying all axis permutations and origins; nullopt when none fits.
-  std::optional<Placement> find_placement(const bgq::Geometry& shape) const;
-
-  /// Fragmentation-aware variant: scans the same permutation x origin space
-  /// but returns the fitting placement with the highest boundary contact —
-  /// the count of face-adjacent neighbor cells (outside the placement,
-  /// wrap-around included) that are already occupied. Packing new cuboids
-  /// against existing ones leaves the free space in fewer, larger chunks.
-  /// Ties resolve to scan order, so the choice is deterministic.
-  std::optional<Placement> find_placement_best_fit(
-      const bgq::Geometry& shape) const;
+  /// scanning every axis permutation and origin; nullopt when none fits.
+  /// kScanOrder returns the first fit. kBestFit returns the fit with the
+  /// highest boundary contact — the count of face-adjacent neighbor cells
+  /// (outside the placement, wrap-around included) already occupied —
+  /// taking the first in scan order on ties. Packing new cuboids against
+  /// existing ones leaves the free space in fewer, larger chunks.
+  std::optional<Placement> find_placement(const bgq::Geometry& shape,
+                                          PositionScoring scoring) const;
 
  private:
   std::size_t cell_index(const std::array<std::int64_t, 4>& cell) const;
@@ -131,32 +181,12 @@ class MidplaneGrid {
 
   bgq::Machine machine_;
   std::array<std::int64_t, 4> dims_;
-  std::vector<std::int64_t> owner_;  // -1 = free
-  std::int64_t free_ = 0;
+  OwnerArray owners_;  // one slot per midplane, row-major over dims_
 };
 
 // ---------------------------------------------------------------------------
 // The allocator interface.
 // ---------------------------------------------------------------------------
-
-/// How an allocator picks the concrete *position* of a layout class when
-/// several free node sets realize it — the axis orthogonal to the layout
-/// class itself (which fixes the partition's shape/quality).
-enum class PositionScoring {
-  /// First fit in the family's deterministic scan order — the pre-refactor
-  /// behavior; the golden schedule digests are pinned to this mode.
-  kScanOrder,
-  /// Fragmentation-aware: among the feasible positions of the class, take
-  /// the one whose *residue* fragments the machine least — tightest
-  /// containers first (dragonfly groups / fat-tree pods with the least
-  /// free slack), and on the torus the cuboid with the most occupied or
-  /// wall-adjacent boundary (least free surface exposed). Scores what a
-  /// placement leaves behind, not just the shape it takes; ties fall back
-  /// to scan order, so schedules stay deterministic.
-  kBestFit,
-};
-
-std::string to_string(PositionScoring scoring);
 
 /// Opaque handle to one allocated node set. `label` renders the per-family
 /// layout (torus: the placed cuboid; dragonfly: chassis x groups; fat-tree:
@@ -250,7 +280,9 @@ class CuboidAllocator final : public PartitionAllocator {
   std::vector<double> candidate_qualities(std::int64_t size) const override;
   std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
                                      std::int64_t job_id) override;
-  std::int64_t release(std::int64_t job_id) override;
+  std::int64_t release(std::int64_t job_id) override {
+    return grid_.release(job_id);
+  }
 
  private:
   const std::vector<bgq::Geometry>& geometries_for(std::int64_t size) const;
@@ -283,11 +315,13 @@ class DragonflyAllocator final : public PartitionAllocator {
   std::string descriptor() const override;
   std::string family() const override { return "dragonfly"; }
   std::int64_t total_units() const override;
-  std::int64_t free_units() const override { return free_; }
+  std::int64_t free_units() const override { return owners_.free_units(); }
   std::vector<double> candidate_qualities(std::int64_t size) const override;
   std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
                                      std::int64_t job_id) override;
-  std::int64_t release(std::int64_t job_id) override;
+  std::int64_t release(std::int64_t job_id) override {
+    return owners_.release(job_id);
+  }
 
   /// The (groups, chassis-per-group) layout classes for a size, quality
   /// ordered (exposed for tests and the advisor's labels).
@@ -301,8 +335,7 @@ class DragonflyAllocator final : public PartitionAllocator {
  private:
   topo::DragonflyConfig config_;
   const PartitionOracle* oracle_;
-  std::vector<std::int64_t> owner_;  // chassis -> job id, -1 = free
-  std::int64_t free_ = 0;
+  OwnerArray owners_;  // chassis, h per group
   mutable std::map<std::int64_t, std::vector<Layout>> layouts_;
 };
 
@@ -321,11 +354,13 @@ class FatTreeAllocator final : public PartitionAllocator {
   std::string descriptor() const override;
   std::string family() const override { return "fattree"; }
   std::int64_t total_units() const override;
-  std::int64_t free_units() const override { return free_; }
+  std::int64_t free_units() const override { return owners_.free_units(); }
   std::vector<double> candidate_qualities(std::int64_t size) const override;
   std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
                                      std::int64_t job_id) override;
-  std::int64_t release(std::int64_t job_id) override;
+  std::int64_t release(std::int64_t job_id) override {
+    return owners_.release(job_id);
+  }
 
   /// Pods spanned by layout class `candidate` of a size (compact first).
   std::vector<std::int64_t> pods_for(std::int64_t size) const;
@@ -335,8 +370,7 @@ class FatTreeAllocator final : public PartitionAllocator {
   double block_quality(std::int64_t size) const;
 
   topo::FatTreeConfig config_;
-  std::vector<std::int64_t> owner_;  // edge subtree -> job id, -1 = free
-  std::int64_t free_ = 0;
+  OwnerArray owners_;  // edge subtrees, k/2 per pod
 };
 
 // ---------------------------------------------------------------------------

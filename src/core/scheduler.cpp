@@ -23,12 +23,6 @@ std::string to_string(SchedulerPolicy policy) {
   return "?";
 }
 
-namespace {
-
-/// Contention-bound slowdown best / assigned. A partition with no internal
-/// bisection cannot carry contention-bound traffic at any finite rate;
-/// only accept it when the best same-size layout is equally degenerate
-/// (then the ratio is defined as 1).
 double bisection_slowdown(double best, double assigned) {
   if (assigned == 0.0) {
     if (best == 0.0) return 1.0;
@@ -37,8 +31,6 @@ double bisection_slowdown(double best, double assigned) {
   }
   return best / assigned;
 }
-
-}  // namespace
 
 double contention_runtime_seconds(const bgq::Machine& machine,
                                   const bgq::Geometry& assigned,
@@ -88,20 +80,6 @@ void trace_simulated_schedule(const PartitionAllocator& allocator,
 }
 
 }  // namespace
-
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy,
-                                 std::vector<Job> jobs) {
-  return simulate_schedule(machine, policy, std::move(jobs),
-                           default_partition_oracle());
-}
-
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy, std::vector<Job> jobs,
-                                 const PartitionOracle& oracle) {
-  CuboidAllocator allocator(machine, oracle);
-  return simulate_schedule(allocator, policy, std::move(jobs));
-}
 
 ScheduleResult simulate_schedule(PartitionAllocator& allocator,
                                  SchedulerPolicy policy,

@@ -83,16 +83,13 @@ ScheduleResult simulate_schedule(PartitionAllocator& allocator,
                                  SchedulerPolicy policy,
                                  std::vector<Job> jobs);
 
-/// Torus-family convenience: simulates on a fresh CuboidAllocator over
-/// `machine` — the pre-refactor entry point, bit-exact with it.
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy,
-                                 std::vector<Job> jobs);
-
-/// Same with geometry/bisection lookups routed through `oracle`.
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy, std::vector<Job> jobs,
-                                 const PartitionOracle& oracle);
+/// Contention-bound slowdown best / assigned of a partition whose
+/// internal bisection is `assigned` when the best same-size layout has
+/// `best`. A partition with no internal bisection cannot carry
+/// contention-bound traffic at any finite rate: it is only accepted when
+/// the best layout is equally degenerate (the ratio is then 1), otherwise
+/// std::invalid_argument.
+double bisection_slowdown(double best, double assigned);
 
 /// Runtime of a contention-bound job on `assigned` relative to the best
 /// same-size geometry: base * best_bw / assigned_bw.

@@ -14,18 +14,6 @@ namespace {
 
 constexpr std::size_t kFullScan = static_cast<std::size_t>(-1);
 
-/// Contention-bound slowdown best / assigned (same contract as the
-/// scheduler module: a zero-bisection partition only passes when the best
-/// same-size layout is equally degenerate).
-double bisection_slowdown(double best, double assigned) {
-  if (assigned == 0.0) {
-    if (best == 0.0) return 1.0;
-    throw std::invalid_argument(
-        "bisection slowdown: assigned geometry has zero bisection");
-  }
-  return best / assigned;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -193,7 +181,9 @@ StreamStats StreamingScheduler::run(JobSource& source,
     return std::nullopt;
   };
 
-  const auto emit = [&](const Job& job, Partition partition) {
+  // The record of `job` starting now on `partition`: the one place its
+  // slowdown and finish time are computed.
+  const auto make_record = [&](const Job& job, Partition partition) {
     ScheduledJob record;
     record.job = job;
     record.start_seconds = now;
@@ -203,6 +193,11 @@ StreamStats StreamingScheduler::run(JobSource& source,
             : 1.0;
     record.finish_seconds = now + job.base_seconds * record.slowdown;
     record.partition = std::move(partition);
+    return record;
+  };
+
+  const auto emit = [&](const ScheduledJob& record) {
+    const Job& job = record.job;
     heap.push_back(
         {record.finish_seconds, next_seq++, job.id, job.midplanes});
     std::push_heap(heap.begin(), heap.end(), completion_after);
@@ -262,13 +257,9 @@ StreamStats StreamingScheduler::run(JobSource& source,
         ++it;
         continue;
       }
-      const double slowdown =
-          job.contention_bound
-              ? bisection_slowdown(partition->best_quality, partition->quality)
-              : 1.0;
-      const double finish = now + job.base_seconds * slowdown;
-      const bool harmless =
-          finish <= shadow->first || job.midplanes <= shadow->second;
+      const ScheduledJob record = make_record(job, std::move(*partition));
+      const bool harmless = record.finish_seconds <= shadow->first ||
+                            job.midplanes <= shadow->second;
       if (!harmless) {
         // Roll the tentative placement back. The release restores the
         // owner arrays bit-exactly, so the index's blocked stamps stay
@@ -277,7 +268,7 @@ StreamStats StreamingScheduler::run(JobSource& source,
         ++it;
         continue;
       }
-      emit(job, std::move(*partition));
+      emit(record);
       ++stats.backfill_hits;
       it = queue.erase(it);
       placed_any = true;
@@ -303,7 +294,7 @@ StreamStats StreamingScheduler::run(JobSource& source,
       const Job job = queue.front();
       auto partition = choose_placement(job);
       if (!partition) break;
-      emit(job, std::move(*partition));
+      emit(make_record(job, std::move(*partition)));
       queue.pop_front();
       placed_any = true;
     }

@@ -1,22 +1,20 @@
-// Streaming event-driven scheduler core.
+// Streaming event-driven scheduler core: the engine every schedule runs
+// on. `simulate_schedule` (scheduler.hpp) is a thin wrapper that collects
+// its records into a ScheduleResult.
 //
-// `simulate_schedule` (scheduler.hpp) replays a materialized job vector:
-// memory grows with trace length and every wake-up re-enumerates candidate
-// layouts from scratch. This module is the long-running engine underneath
-// it: a binary-heap event queue over completion events (O(log n) per
-// event), arrivals pulled incrementally from a `JobSource` so resident
-// memory is bounded by the number of in-flight jobs (waiting + running),
-// and `ScheduledJob` records emitted through a sink callback instead of
-// accumulating a result vector. The hot loop avoids re-scans with a
+// Completion events sit in a binary heap (O(log n) per event), arrivals
+// are pulled incrementally from a `JobSource` so resident memory is
+// bounded by the number of in-flight jobs (waiting + running), and
+// `ScheduledJob` records leave through a sink callback instead of
+// accumulating in a result vector. The hot loop avoids re-scans with a
 // `FreeLayoutIndex`: a per-size memo of candidate qualities plus a
 // release-epoch fail cache — a placement class that failed stays failed
 // until some job releases units (occupying more units can only shrink the
 // free set), so blocked wake-ups are skipped in O(log n).
 //
-// The wrapper `simulate_schedule` runs on this core and is bit-exact with
-// the pre-refactor replay loop (golden digests in tests/core pin it); the
-// extra `SchedulerPolicy::kEasyBackfill` discipline is only reachable
-// here and through the wrapper by explicit request.
+// The golden schedule digests in tests/core pin its output bit for bit,
+// for every SchedulerPolicy (EASY backfilling included) and both
+// PositionScoring modes.
 #pragma once
 
 #include <cstddef>

@@ -573,18 +573,12 @@ int Runner::finish() {
   std::printf("\n%.2f s on %d threads (seed %llu)",
               elapsed, pool_.num_threads(),
               static_cast<unsigned long long>(config_.seed));
-  const auto print_stats = [](const char* name, const CacheStats& stats) {
-    if (stats.lookups() == 0) return;
-    std::printf("; %s %llu/%llu hits", name,
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.lookups()));
-  };
-  print_stats("geometries", context_.geometry_stats());
-  print_stats("bounds", context_.bound_stats());
-  print_stats("routing", context_.routing_stats());
-  print_stats("feasible", context_.feasible_stats());
-  print_stats("pairings", context_.pairing_stats());
-  print_stats("caps", context_.caps_stats());
+  for (const SweepContext::NamedStats& cache : context_.all_stats()) {
+    if (cache.stats.lookups() == 0) continue;
+    std::printf("; %s %llu/%llu hits", cache.name,
+                static_cast<unsigned long long>(cache.stats.hits),
+                static_cast<unsigned long long>(cache.stats.lookups()));
+  }
   std::printf("\n");
   return write_observability_artifacts();
 }

@@ -64,9 +64,10 @@ std::vector<SchedulerSweepRow> run_scheduler_sweep(
 
     TraceConfig config = grid.trace;
     config.contention_fraction = row.contention_fraction;
+    core::CuboidAllocator allocator(grid.machine, oracle);
     const auto result = core::simulate_schedule(
-        grid.machine, row.policy,
-        generate_trace(grid.machine, config, row.trace_seed), oracle);
+        allocator, row.policy,
+        generate_trace(grid.machine, config, row.trace_seed));
     row.makespan_seconds = result.makespan_seconds;
     row.mean_slowdown = result.mean_slowdown;
     row.mean_wait_seconds = result.mean_wait_seconds;

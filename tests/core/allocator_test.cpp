@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -91,7 +92,8 @@ TEST(CuboidAllocatorPinTest, ReproducesPreRefactorSchedulesBitExactly) {
     sweep::TraceConfig config;
     config.num_jobs = 24;
     const auto jobs = sweep::generate_trace(machine, config, 2020);
-    const auto result = simulate_schedule(machine, golden.policy, jobs);
+    const auto result =
+        simulate_schedule(*make_allocator(machine), golden.policy, jobs);
     EXPECT_EQ(fnv1a(schedule_digest(result)), golden.digest_hash)
         << golden.machine << " / " << to_string(golden.policy);
   }
@@ -107,7 +109,8 @@ TEST(CuboidAllocatorPinTest, MemoizedOracleChangesNothing) {
     sweep::TraceConfig config;
     config.num_jobs = 24;
     const auto jobs = sweep::generate_trace(machine, config, 2020);
-    const auto result = simulate_schedule(machine, golden.policy, jobs, oracle);
+    const auto result = simulate_schedule(*make_allocator(machine, oracle),
+                                          golden.policy, jobs);
     EXPECT_EQ(fnv1a(schedule_digest(result)), golden.digest_hash)
         << golden.machine << " / " << to_string(golden.policy);
   }
@@ -371,6 +374,94 @@ TEST(MakeAllocatorTest, FeasibleUnitSizesMatchFamilies) {
   const auto sizes = feasible_unit_sizes(fat_tree);
   // p | s with s / p <= 2, p <= 4: sizes 1, 2, 3 (3 pods x 1), 4, 6, 8.
   EXPECT_EQ(sizes, (std::vector<std::int64_t>{1, 2, 3, 4, 6, 8}));
+}
+
+// -------------------------------------------------------------------------
+// Family pin suite: schedule hashes for the placement paths the 24-job
+// paper-machine suite above leaves open — best-fit position scoring on
+// every family, the dragonfly and fat-tree scan orders, and EASY
+// backfilling (whose tentative place/release probes exercise the release
+// path). Captured before the placement scans and release paths were
+// merged; any drift in a chosen position or a partition label changes the
+// hash.
+// -------------------------------------------------------------------------
+
+struct GoldenFamilySchedule {
+  const char* family;
+  SchedulerPolicy policy;
+  PositionScoring scoring;
+  std::uint64_t digest_hash;
+};
+
+constexpr GoldenFamilySchedule kGoldenFamilySchedules[] = {
+    {"cuboid", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kScanOrder, 0xc9ba5eb94ad20d21ULL},
+    {"cuboid", SchedulerPolicy::kFirstFit,
+     PositionScoring::kBestFit, 0xe09ba53248a8d532ULL},
+    {"cuboid", SchedulerPolicy::kBestBisection,
+     PositionScoring::kBestFit, 0xfe70252f6256ac3dULL},
+    {"cuboid", SchedulerPolicy::kWaitForBest,
+     PositionScoring::kBestFit, 0xfe70252f6256ac3dULL},
+    {"cuboid", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kBestFit, 0x34a7815385c93c38ULL},
+    {"dragonfly", SchedulerPolicy::kFirstFit,
+     PositionScoring::kScanOrder, 0xf6fb84a005ac5d1fULL},
+    {"dragonfly", SchedulerPolicy::kBestBisection,
+     PositionScoring::kScanOrder, 0x4837cb3e43bd85fbULL},
+    {"dragonfly", SchedulerPolicy::kWaitForBest,
+     PositionScoring::kScanOrder, 0x8e6c8c0be3a6b6d6ULL},
+    {"dragonfly", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kScanOrder, 0xab3505bf1f94637fULL},
+    {"dragonfly", SchedulerPolicy::kFirstFit,
+     PositionScoring::kBestFit, 0x8d36ad105e52b0c5ULL},
+    {"dragonfly", SchedulerPolicy::kBestBisection,
+     PositionScoring::kBestFit, 0x1930eb1f1808a376ULL},
+    {"dragonfly", SchedulerPolicy::kWaitForBest,
+     PositionScoring::kBestFit, 0x5c700331f7e48396ULL},
+    {"dragonfly", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kBestFit, 0xab3505bf1f94637fULL},
+    {"fattree", SchedulerPolicy::kFirstFit,
+     PositionScoring::kScanOrder, 0xc34c70fb2d81b9c0ULL},
+    {"fattree", SchedulerPolicy::kBestBisection,
+     PositionScoring::kScanOrder, 0x4acb121b87b67de9ULL},
+    {"fattree", SchedulerPolicy::kWaitForBest,
+     PositionScoring::kScanOrder, 0x4acb121b87b67de9ULL},
+    {"fattree", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kScanOrder, 0xbcf2882ebd9bd481ULL},
+    {"fattree", SchedulerPolicy::kFirstFit,
+     PositionScoring::kBestFit, 0xc34c70fb2d81b9c0ULL},
+    {"fattree", SchedulerPolicy::kBestBisection,
+     PositionScoring::kBestFit, 0xdd3d6bb5401ff1a7ULL},
+    {"fattree", SchedulerPolicy::kWaitForBest,
+     PositionScoring::kBestFit, 0xdd3d6bb5401ff1a7ULL},
+    {"fattree", SchedulerPolicy::kEasyBackfill,
+     PositionScoring::kBestFit, 0x8009706c56d16267ULL},
+};
+
+/// Mira for the torus family; the 32-unit small dragonfly and k = 8
+/// fat-tree otherwise.
+std::unique_ptr<PartitionAllocator> family_allocator(
+    const std::string& family) {
+  if (family == "cuboid") return std::make_unique<CuboidAllocator>(bgq::mira());
+  if (family == "dragonfly") {
+    return std::make_unique<DragonflyAllocator>(small_dragonfly());
+  }
+  return std::make_unique<FatTreeAllocator>(topo::FatTreeConfig{8, 1.0});
+}
+
+TEST(FamilyPinTest, ReproducesPinnedSchedulesBitExactly) {
+  for (const GoldenFamilySchedule& golden : kGoldenFamilySchedules) {
+    const auto allocator = family_allocator(golden.family);
+    allocator->set_position_scoring(golden.scoring);
+    sweep::TraceConfig config;
+    config.num_jobs = 48;
+    const auto jobs = sweep::generate_trace(feasible_unit_sizes(*allocator),
+                                            config, 2020);
+    const auto result = simulate_schedule(*allocator, golden.policy, jobs);
+    EXPECT_EQ(fnv1a(schedule_digest(result)), golden.digest_hash)
+        << golden.family << " / " << to_string(golden.policy) << " / "
+        << to_string(golden.scoring);
+  }
 }
 
 TEST(SimulateScheduleTest, RunsOnDragonflyAndFatTreeFamilies) {

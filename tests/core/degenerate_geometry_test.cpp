@@ -32,7 +32,7 @@ TEST(DegenerateGeometryTest, ContentionRuntimeOnSingleMidplaneMachine) {
 
 TEST(DegenerateGeometryTest, SchedulerRunsOnSingleMidplaneMachine) {
   const auto result = simulate_schedule(
-      single_midplane_machine(), SchedulerPolicy::kFirstFit,
+      *make_allocator(single_midplane_machine()), SchedulerPolicy::kFirstFit,
       {{0, 1, 10.0, true, 0.0}, {1, 1, 10.0, true, 0.0}});
   ASSERT_EQ(result.jobs.size(), 2u);
   for (const ScheduledJob& record : result.jobs) {

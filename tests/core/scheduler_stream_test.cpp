@@ -475,8 +475,9 @@ TEST(PositionScoringTest, BestFitPlacesAdjacentToOccupiedCells) {
   seed.origin = {2, 2, 1, 1};
   seed.extent = {1, 1, 1, 1};
   grid.occupy(seed, 1);
-  const auto scan = grid.find_placement(bgq::Geometry(1, 1, 1, 1));
-  const auto best = grid.find_placement_best_fit(bgq::Geometry(1, 1, 1, 1));
+  const bgq::Geometry unit(1, 1, 1, 1);
+  const auto scan = grid.find_placement(unit, PositionScoring::kScanOrder);
+  const auto best = grid.find_placement(unit, PositionScoring::kBestFit);
   ASSERT_TRUE(scan.has_value());
   ASSERT_TRUE(best.has_value());
   const std::array<std::int64_t, 4> scan_origin = {0, 0, 0, 0};

@@ -102,7 +102,8 @@ TEST(MidplaneGridTest, FitsRejectsBadExtents) {
 TEST(MidplaneGridTest, FindPlacementTriesOrientations) {
   MidplaneGrid grid(bgq::mira());  // 4 x 4 x 3 x 2
   // 3 x 2 x 1 x 1 must be placed with the 3 along a dimension >= 3.
-  const auto placement = grid.find_placement(bgq::Geometry(3, 2, 1, 1));
+  const auto placement = grid.find_placement(bgq::Geometry(3, 2, 1, 1),
+                                             PositionScoring::kScanOrder);
   ASSERT_TRUE(placement.has_value());
   EXPECT_EQ(placement->geometry(), bgq::Geometry(3, 2, 1, 1));
   EXPECT_TRUE(grid.fits(*placement));
@@ -113,7 +114,11 @@ TEST(MidplaneGridTest, FindPlacementFailsWhenFull) {
   Placement all;
   all.extent = {4, 4, 3, 2};
   grid.occupy(all, 1);
-  EXPECT_FALSE(grid.find_placement(bgq::Geometry(1, 1, 1, 1)).has_value());
+  for (const auto scoring :
+       {PositionScoring::kScanOrder, PositionScoring::kBestFit}) {
+    EXPECT_FALSE(
+        grid.find_placement(bgq::Geometry(1, 1, 1, 1), scoring).has_value());
+  }
 }
 
 TEST(ContentionRuntimeTest, ScalesWithBisectionRatio) {
@@ -125,7 +130,7 @@ TEST(ContentionRuntimeTest, ScalesWithBisectionRatio) {
 }
 
 TEST(SchedulerTest, SingleJobRunsImmediately) {
-  const auto result = simulate_schedule(bgq::mira(),
+  const auto result = simulate_schedule(*make_allocator(bgq::mira()),
                                         SchedulerPolicy::kBestBisection,
                                         {make_job(0, 4, 100.0)});
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -138,7 +143,7 @@ TEST(SchedulerTest, SingleJobRunsImmediately) {
 }
 
 TEST(SchedulerTest, FirstFitPicksWorseGeometry) {
-  const auto result = simulate_schedule(bgq::mira(),
+  const auto result = simulate_schedule(*make_allocator(bgq::mira()),
                                         SchedulerPolicy::kFirstFit,
                                         {make_job(0, 4, 100.0)});
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -151,7 +156,7 @@ TEST(SchedulerTest, FirstFitPicksWorseGeometry) {
 
 TEST(SchedulerTest, ComputeBoundJobsAreImmuneToGeometry) {
   const auto result = simulate_schedule(
-      bgq::mira(), SchedulerPolicy::kFirstFit,
+      *make_allocator(bgq::mira()), SchedulerPolicy::kFirstFit,
       {make_job(0, 4, 100.0, /*contention_bound=*/false)});
   EXPECT_DOUBLE_EQ(result.jobs[0].slowdown, 1.0);
   EXPECT_DOUBLE_EQ(result.makespan_seconds, 100.0);
@@ -164,9 +169,11 @@ TEST(SchedulerTest, BestBisectionBeatsFirstFitOnSlowdown) {
     jobs.push_back(make_job(i, 4, 50.0));
   }
   const auto first_fit =
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kFirstFit, jobs);
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kFirstFit, jobs);
   const auto quality =
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kBestBisection, jobs);
   EXPECT_GT(first_fit.mean_slowdown, quality.mean_slowdown);
   EXPECT_GE(first_fit.makespan_seconds, quality.makespan_seconds);
 }
@@ -177,7 +184,8 @@ TEST(SchedulerTest, WaitForBestNeverDegradesQuality) {
     jobs.push_back(make_job(i, 8, 30.0));
   }
   const auto result =
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kWaitForBest, jobs);
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kWaitForBest, jobs);
   for (const auto& record : result.jobs) {
     EXPECT_DOUBLE_EQ(record.slowdown, 1.0) << "job " << record.job.id;
   }
@@ -191,16 +199,18 @@ TEST(SchedulerTest, WaitForBestTradesWaitTimeForQuality) {
     jobs.push_back(make_job(i, 4, 10.0));
   }
   const auto greedy =
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kBestBisection, jobs);
   const auto waiting =
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kWaitForBest, jobs);
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kWaitForBest, jobs);
   EXPECT_LE(waiting.mean_slowdown, greedy.mean_slowdown);
   EXPECT_GE(waiting.mean_wait_seconds, greedy.mean_wait_seconds);
 }
 
 TEST(SchedulerTest, ArrivalsGateStartTimes) {
   const auto result = simulate_schedule(
-      bgq::mira(), SchedulerPolicy::kBestBisection,
+      *make_allocator(bgq::mira()), SchedulerPolicy::kBestBisection,
       {make_job(0, 4, 10.0, true, 0.0), make_job(1, 4, 10.0, true, 100.0)});
   EXPECT_DOUBLE_EQ(result.jobs[1].start_seconds, 100.0);
 }
@@ -208,19 +218,20 @@ TEST(SchedulerTest, ArrivalsGateStartTimes) {
 TEST(SchedulerTest, FcfsHeadOfLineBlocks) {
   // Job 1 needs the whole machine; job 2 is small but must wait behind it.
   const auto result = simulate_schedule(
-      bgq::mira(), SchedulerPolicy::kBestBisection,
+      *make_allocator(bgq::mira()), SchedulerPolicy::kBestBisection,
       {make_job(0, 64, 10.0), make_job(1, 96, 10.0), make_job(2, 1, 10.0)});
   EXPECT_DOUBLE_EQ(result.jobs[1].start_seconds, 10.0);
   EXPECT_GE(result.jobs[2].start_seconds, result.jobs[1].start_seconds);
 }
 
 TEST(SchedulerTest, RejectsInfeasibleSizeAndBadArrivals) {
-  EXPECT_THROW(simulate_schedule(bgq::juqueen(),
+  EXPECT_THROW(simulate_schedule(*make_allocator(bgq::juqueen()),
                                  SchedulerPolicy::kBestBisection,
                                  {make_job(0, 9, 1.0)}),
                std::invalid_argument);
   EXPECT_THROW(
-      simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection,
+      simulate_schedule(*make_allocator(bgq::mira()),
+                        SchedulerPolicy::kBestBisection,
                         {make_job(0, 1, 1.0, true, 5.0),
                          make_job(1, 1, 1.0, true, 0.0)}),
       std::invalid_argument);
@@ -231,7 +242,8 @@ TEST(SchedulerTest, InfeasibleSizeThrowNamesJobSizeAndMachine) {
   // asked for what, on which machine — a trace of 48 jobs is otherwise
   // undebuggable from "infeasible job size" alone.
   try {
-    simulate_schedule(bgq::juqueen(), SchedulerPolicy::kBestBisection,
+    simulate_schedule(*make_allocator(bgq::juqueen()),
+                      SchedulerPolicy::kBestBisection,
                       {make_job(0, 2, 1.0), make_job(17, 9, 1.0, true, 1.0)});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
@@ -262,7 +274,8 @@ TEST(SchedulerTest, RejectsNonEmptyAllocator) {
 
 TEST(SchedulerTest, BadArrivalThrowNamesOffendingJob) {
   try {
-    simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection,
+    simulate_schedule(*make_allocator(bgq::mira()),
+                      SchedulerPolicy::kBestBisection,
                       {make_job(4, 1, 1.0, true, 5.0),
                        make_job(11, 1, 1.0, true, 2.0)});
     FAIL() << "expected std::invalid_argument";

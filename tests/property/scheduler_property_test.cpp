@@ -42,7 +42,7 @@ TEST_P(SchedulerSweep, ConservationAndCapacity) {
   const bgq::Machine machine =
       bgq::all_machines().at(static_cast<std::size_t>(machine_index));
   const auto jobs = mixed_stream(machine, 40, 42 + machine_index);
-  const auto result = simulate_schedule(machine, policy, jobs);
+  const auto result = simulate_schedule(*make_allocator(machine), policy, jobs);
 
   // Conservation: every job appears exactly once, with sane timing.
   ASSERT_EQ(result.jobs.size(), jobs.size());
@@ -87,7 +87,7 @@ TEST(SchedulerDominanceTest, WaitForBestAlwaysAchievesSlowdownOne) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto jobs = mixed_stream(bgq::mira(), 30, seed);
     const auto result = simulate_schedule(
-        bgq::mira(), SchedulerPolicy::kWaitForBest, jobs);
+        *make_allocator(bgq::mira()), SchedulerPolicy::kWaitForBest, jobs);
     EXPECT_NEAR(result.mean_slowdown, 1.0, 1e-12) << "seed " << seed;
   }
 }
@@ -96,9 +96,10 @@ TEST(SchedulerDominanceTest, QualityPoliciesNeverLoseOnSlowdown) {
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
     const auto jobs = mixed_stream(bgq::juqueen(), 30, seed);
     const auto first_fit =
-        simulate_schedule(bgq::juqueen(), SchedulerPolicy::kFirstFit, jobs);
+        simulate_schedule(*make_allocator(bgq::juqueen()),
+                          SchedulerPolicy::kFirstFit, jobs);
     const auto quality = simulate_schedule(
-        bgq::juqueen(), SchedulerPolicy::kBestBisection, jobs);
+        *make_allocator(bgq::juqueen()), SchedulerPolicy::kBestBisection, jobs);
     EXPECT_LE(quality.mean_slowdown, first_fit.mean_slowdown + 1e-12)
         << "seed " << seed;
   }

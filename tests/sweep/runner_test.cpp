@@ -417,5 +417,22 @@ TEST(RunnerMainTest, WritesMetricsAndTraceArtifacts) {
   EXPECT_GT(trace.at("traceEvents").array().size(), 2u);
 }
 
+TEST(RunnerMainTest, FooterReportsEveryCacheTheRunUsed) {
+  // The ext_topologies driver body: its rows are served by the
+  // descriptor-keyed topology caches, which the footer must list beside
+  // the others (it iterates SweepContext::all_stats()).
+  const char* argv[] = {"bench", "--threads", "1", "--fast"};
+  ::testing::internal::CaptureStdout();
+  const int code = Runner::main(
+      "footer test", 4, const_cast<char**>(argv), [](Runner& runner) {
+        runner.run(topology_design_grid(runner.engine(), runner.fast()));
+      });
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 0);
+  const std::string footer = out.substr(out.rfind(" s on "));
+  EXPECT_NE(footer.find("; topologies "), std::string::npos) << footer;
+  EXPECT_NE(footer.find("; topology_routing "), std::string::npos) << footer;
+}
+
 }  // namespace
 }  // namespace npac::sweep

@@ -79,7 +79,8 @@ TEST(SchedulerSweepTest, RowsMatchDirectSimulation) {
   TraceConfig config = grid.trace;
   config.contention_fraction = row.contention_fraction;
   const auto jobs = generate_trace(grid.machine, config, row.trace_seed);
-  const auto direct = core::simulate_schedule(grid.machine, row.policy, jobs);
+  const auto direct = core::simulate_schedule(
+      *core::make_allocator(grid.machine), row.policy, jobs);
   EXPECT_DOUBLE_EQ(row.makespan_seconds, direct.makespan_seconds);
   EXPECT_DOUBLE_EQ(row.mean_slowdown, direct.mean_slowdown);
   EXPECT_DOUBLE_EQ(row.mean_wait_seconds, direct.mean_wait_seconds);

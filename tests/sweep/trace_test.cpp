@@ -187,9 +187,11 @@ TEST(TraceTest, ReplayMatchesDirectSimulation) {
   SweepContext context;
   const CachedPartitionOracle oracle(&context);
   const auto replayed = core::simulate_schedule(
-      bgq::mira(), core::SchedulerPolicy::kBestBisection, jobs, oracle);
+      *core::make_allocator(bgq::mira(), oracle),
+      core::SchedulerPolicy::kBestBisection, jobs);
   const auto direct = core::simulate_schedule(
-      bgq::mira(), core::SchedulerPolicy::kBestBisection, jobs);
+      *core::make_allocator(bgq::mira()), core::SchedulerPolicy::kBestBisection,
+      jobs);
   EXPECT_DOUBLE_EQ(replayed.makespan_seconds, direct.makespan_seconds);
   EXPECT_DOUBLE_EQ(replayed.mean_slowdown, direct.mean_slowdown);
   EXPECT_DOUBLE_EQ(replayed.mean_wait_seconds, direct.mean_wait_seconds);
