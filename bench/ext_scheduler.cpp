@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
   return sweep::Runner::main(
       "Extension — bisection-aware scheduling sweep on Mira",
       argc, argv, [](sweep::Runner& runner) {
-        sweep::SchedulerSweepGrid grid;
-        grid.machine = bgq::mira();
+        sweep::TopologySchedulerGrid grid;
+        grid.machines = {{"Mira", topo::TopologySpec::torus({4, 4, 3, 2}),
+                          sweep::default_trace_sizes(bgq::mira())}};
         grid.policies = {core::SchedulerPolicy::kFirstFit,
                          core::SchedulerPolicy::kBestBisection,
                          core::SchedulerPolicy::kWaitForBest};
@@ -35,13 +36,13 @@ int main(int argc, char** argv) {
             "(3 policies x 3 contention mixes x %d traces of %d jobs)\n",
             grid.replications, grid.trace.num_jobs);
 
-        const auto rows = sweep::run_scheduler_sweep(
+        const auto rows = sweep::run_topology_scheduler_sweep(
             grid, runner.sweep_options(), runner.context());
 
         // Replication means on stdout; the full-resolution rows go only to
         // the CSV artifact.
         std::printf("\n%s",
-                    sweep::scheduler_sweep_summary(rows).render().c_str());
+                    sweep::topology_scheduler_summary(rows).render().c_str());
 
         sweep::BenchGrid csv_grid;
         csv_grid.columns = {"Policy",       "Contention",    "Rep",

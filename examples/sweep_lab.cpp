@@ -6,8 +6,8 @@
 //     subsystem guarantees;
 //  2. the memo layer's effect (cache statistics from the shared context);
 //  3. a workload trace serialized, parsed back, and replayed exactly;
-//  4. a routing sweep pairing fluid-model measurements with the
-//     Theorem 3.1 isoperimetric bound.
+//  4. fluid-model ping-pong measurements paired with the Theorem 3.1
+//     isoperimetric bound, both through the shared context's caches.
 #include <chrono>
 #include <cstdio>
 
@@ -18,15 +18,15 @@ namespace {
 
 using namespace npac;
 
-double run_timed(const sweep::SchedulerSweepGrid& grid,
+double run_timed(const sweep::TopologySchedulerGrid& grid,
                  const sweep::SweepOptions& options,
                  sweep::SweepContext& context, std::string* csv_out) {
   const auto start = std::chrono::steady_clock::now();
-  const auto rows = sweep::run_scheduler_sweep(grid, options, context);
+  const auto rows = sweep::run_topology_scheduler_sweep(grid, options, context);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  *csv_out = sweep::scheduler_sweep_csv(rows);
+  *csv_out = sweep::topology_scheduler_csv(rows);
   return elapsed;
 }
 
@@ -36,8 +36,9 @@ int main() {
   std::puts("sweep_lab — parallel experiment sweeps with memoized caches\n");
 
   // ---- 1. determinism across thread counts --------------------------------
-  sweep::SchedulerSweepGrid grid;
-  grid.machine = bgq::mira();
+  sweep::TopologySchedulerGrid grid;
+  grid.machines = {{"Mira", topo::TopologySpec::torus({4, 4, 3, 2}),
+                    sweep::default_trace_sizes(bgq::mira())}};
   grid.policies = {core::SchedulerPolicy::kFirstFit,
                    core::SchedulerPolicy::kBestBisection,
                    core::SchedulerPolicy::kWaitForBest};
@@ -67,9 +68,10 @@ int main() {
     return 1;
   }
 
-  const auto rows =
-      sweep::run_scheduler_sweep(grid, sequential, context_sequential);
-  std::fputs(sweep::scheduler_sweep_summary(rows).render().c_str(), stdout);
+  const auto rows = sweep::run_topology_scheduler_sweep(grid, sequential,
+                                                       context_sequential);
+  std::fputs(sweep::topology_scheduler_summary(rows).render().c_str(),
+             stdout);
 
   // ---- 2. what the memo layer saved ---------------------------------------
   const auto stats = context_sequential.geometry_stats();
@@ -101,21 +103,37 @@ int main() {
       direct.makespan_seconds == roundtrip.makespan_seconds ? "exact"
                                                             : "MISMATCH");
 
-  // ---- 4. routing sweep with isoperimetric bounds -------------------------
-  sweep::RoutingSweepGrid routing;
-  routing.geometries = {bgq::Geometry(2, 2, 1, 1), bgq::Geometry(4, 1, 1, 1)};
-  routing.tie_breaks = {simnet::TieBreak::kSplit,
-                        simnet::TieBreak::kPositive};
-  routing.config.total_rounds = 1;
-  routing.config.warmup_rounds = 0;
-  const auto routing_rows =
-      sweep::run_routing_sweep(routing, sequential, context_sequential);
-  std::fputs(sweep::routing_sweep_table(routing_rows).render().c_str(),
-             stdout);
+  // ---- 4. routing measurements with isoperimetric bounds ------------------
+  simnet::PingPongConfig pingpong;
+  pingpong.total_rounds = 1;
+  pingpong.warmup_rounds = 0;
+  core::TextTable routing({"Geometry", "Tie-break", "Measured (s)",
+                           "s/round", "Iso bound (cut)"});
+  for (const bgq::Geometry& geometry :
+       {bgq::Geometry(2, 2, 1, 1), bgq::Geometry(4, 1, 1, 1)}) {
+    const double iso_bound_cut =
+        context_sequential
+            .torus_bound(geometry.node_dims(), geometry.nodes() / 2)
+            .value;
+    for (const simnet::TieBreak tie_break :
+         {simnet::TieBreak::kSplit, simnet::TieBreak::kPositive}) {
+      simnet::NetworkOptions network;
+      network.tie_break = tie_break;
+      const auto result =
+          context_sequential.pingpong(geometry, pingpong, network);
+      routing.add_row(
+          {geometry.to_string(),
+           tie_break == simnet::TieBreak::kSplit ? "split" : "positive",
+           core::format_double(result.measured_seconds, 2),
+           core::format_double(result.seconds_per_round, 3),
+           core::format_double(iso_bound_cut, 0)});
+    }
+  }
+  std::fputs(routing.render().c_str(), stdout);
   std::puts(
       "\nReading: the 4x1x1x1 box has half the bisection of 2x2x1x1, and "
       "the fluid\nmodel's measured round time doubles accordingly — the "
       "end-to-end chain\n(geometry -> Theorem 3.1 bound -> contention-bound "
-      "runtime) in one sweep.");
+      "runtime) on one shared context.");
   return 0;
 }

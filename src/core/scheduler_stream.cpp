@@ -112,13 +112,25 @@ StreamStats StreamingScheduler::run(JobSource& source,
   double now = 0.0;
 
   // One-job lookahead: the only part of the unscheduled future ever held.
-  std::optional<Job> pending = source.next();
-  double last_arrival = pending ? pending->arrival_seconds
-                                : -std::numeric_limits<double>::infinity();
+  std::optional<Job> pending;
+  double last_arrival = -std::numeric_limits<double>::infinity();
 
+  // Every job enters through here. A non-finite arrival would never be
+  // admitted (NaN compares false against `now`) nor ordered against
+  // completions, and a non-finite or negative runtime has no finish time,
+  // so either one is rejected before the event loop sees it.
   const auto pull_next = [&] {
     pending = source.next();
     if (pending) {
+      if (!std::isfinite(pending->arrival_seconds) ||
+          !std::isfinite(pending->base_seconds) ||
+          pending->base_seconds < 0.0) {
+        throw std::invalid_argument(
+            "StreamingScheduler: job " + std::to_string(pending->id) +
+            " has arrival " + std::to_string(pending->arrival_seconds) +
+            "s and base runtime " + std::to_string(pending->base_seconds) +
+            "s — both must be finite and the runtime non-negative");
+      }
       if (pending->arrival_seconds < last_arrival) {
         throw std::invalid_argument(
             "StreamingScheduler: job " + std::to_string(pending->id) +
@@ -130,6 +142,7 @@ StreamStats StreamingScheduler::run(JobSource& source,
       last_arrival = pending->arrival_seconds;
     }
   };
+  pull_next();
 
   const auto note_resident = [&] {
     const std::size_t resident =

@@ -22,6 +22,10 @@ double unit_hash(std::uint64_t x) {
   return static_cast<double>(splitmix64(x) >> 11) * 0x1.0p-53;
 }
 
+/// True when `x` converts to int64 without undefined behaviour, i.e. it
+/// lies in [-2^63, 2^63). NaN fails both comparisons.
+bool fits_int64(double x) { return x >= -0x1p63 && x < 0x1p63; }
+
 }  // namespace
 
 std::vector<Job> parse_swf(const std::string& text,
@@ -68,14 +72,29 @@ std::vector<Job> parse_swf(const std::string& text,
     const double runtime = fields[3] > 0.0 ? fields[3] : fields[8];
     const double procs = fields[7] > 0.0 ? fields[7] : fields[4];
     if (runtime <= 0.0 || procs <= 0.0) continue;  // cancelled/failed rows
+    // Casting a double outside the int64 range is undefined behaviour, so
+    // the two fields cast to integers are range-checked first.
+    if (!fits_int64(fields[0])) {
+      throw std::invalid_argument(
+          "parse_swf: line " + std::to_string(line_number) +
+          " has a job number outside the 64-bit integer range");
+    }
+    if (!fits_int64(procs)) {
+      throw std::invalid_argument(
+          "parse_swf: line " + std::to_string(line_number) +
+          " has a processor count outside the 64-bit integer range");
+    }
 
     Job job;
     job.id = static_cast<std::int64_t>(fields[0]);
     job.arrival_seconds = fields[1];
     job.base_seconds = runtime;
+    // Ceiling division without the `p + ppu - 1` form, which overflows
+    // for processor counts near the int64 limit.
+    const std::int64_t whole_procs = static_cast<std::int64_t>(procs);
     const std::int64_t units =
-        (static_cast<std::int64_t>(procs) + options.procs_per_unit - 1) /
-        options.procs_per_unit;
+        whole_procs / options.procs_per_unit +
+        (whole_procs % options.procs_per_unit != 0 ? 1 : 0);
     if (pool.empty()) {
       job.midplanes = units;
     } else {

@@ -1,9 +1,8 @@
 // Minimal JSON value + recursive-descent parser.
 //
 // Just enough JSON for the observability artifacts this repo emits and
-// re-reads: the perf_report baseline comparison parses its own
-// BENCH_*.json snapshots, and the obs tests parse the registry / trace
-// output to assert it is well-formed. Numbers are doubles, objects are
+// re-reads: the obs and runner tests parse the registry / trace output
+// to assert it is well-formed. Numbers are doubles, objects are
 // name-sorted maps, and parse errors throw std::invalid_argument with a
 // byte offset. No external dependency.
 #pragma once

@@ -5,7 +5,7 @@
 // push_back, no local container construction) and no wall-clock reads.
 // tools/npaclint enforces the allocation half statically (rule H1) over
 // every annotated body, so a regression fails CI on the offending line
-// instead of showing up as a perf cliff in bench/perf_report.
+// instead of showing up as a perf cliff in the perfbench workloads.
 //
 // The macro also lowers to the compiler's hot attribute where available,
 // nudging inlining and code layout for the functions the sweeps spend

@@ -76,7 +76,7 @@ core::PairingComparison SweepContext::pairing(
   key.chunks_per_round = config.chunks_per_round;
   return *pairings_.get_or_compute(key, [&] {
     // Both runs go through the per-geometry routing cache, so a geometry
-    // shared by several pairs (or by a routing sweep) is still routed once.
+    // shared by several pairs (or also passed to pingpong()) is routed once.
     return core::make_pairing(baseline, proposed,
                               pingpong(baseline, config, {}),
                               pingpong(proposed, config, {}));
@@ -112,18 +112,8 @@ namespace {
 template <typename Key, typename Value>
 SweepContext::NamedStats named_stats(const char* name,
                                      const MemoCache<Key, Value>& cache) {
-  SweepContext::NamedStats out;
-  out.name = name;
-  // One pass over the per-shard counters, so (stats, entries,
-  // shard_entries) are one consistent snapshot.
-  const auto shards = cache.shard_stats();
-  for (std::size_t i = 0; i < kCacheShards; ++i) {
-    out.stats.hits += shards[i].stats.hits;
-    out.stats.misses += shards[i].stats.misses;
-    out.entries += shards[i].entries;
-    out.shard_entries[i] = shards[i].entries;
-  }
-  return out;
+  const auto [stats, entries] = cache.snapshot();
+  return {name, stats, entries};
 }
 
 }  // namespace
@@ -150,14 +140,6 @@ void SweepContext::publish_metrics(obs::Registry& registry) const {
         .set(static_cast<double>(cache.stats.misses));
     registry.gauge(prefix + ".entries")
         .set(static_cast<double>(cache.entries));
-    // Per-shard occupancy, occupied shards only: enough to see balance
-    // (and spot a degenerate key hash) without 16 zero gauges per idle
-    // cache drowning the snapshot.
-    for (std::size_t shard = 0; shard < kCacheShards; ++shard) {
-      if (cache.shard_entries[shard] == 0) continue;
-      registry.gauge(prefix + ".shard" + std::to_string(shard) + ".entries")
-          .set(static_cast<double>(cache.shard_entries[shard]));
-    }
   }
 }
 

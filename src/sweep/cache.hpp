@@ -8,15 +8,13 @@
 // keyed cache turns a sweep's cost from grid-size x cost into
 // distinct-keys x cost.
 //
-// Locking: the cache is striped — 2^k shards, each a std::map behind its
-// own mutex, with the shard chosen by a splitmix64 finalize of the key
-// hash. Concurrent lookups of different keys land on different shards with
-// high probability, so the memo layer stops being a single serialization
-// point at high worker counts while each individual operation stays a
-// plain locked map lookup. Cache misses compute *outside* any lock, so
-// concurrent misses on the same key may duplicate work but never serialize
-// the pool. Values are pure functions of their keys, so the duplicate
-// result is identical and the first insert wins.
+// Locking: one mutex guards one std::map per cache. Cache misses compute
+// *outside* the lock, so concurrent misses on the same key may duplicate
+// work but never serialize the pool. Values are pure functions of their
+// keys, so the duplicate result is identical and the first insert wins.
+// The lock is held only for a map lookup or insert; sweeps make a few
+// hundred lookups against seconds of pool work (DESIGN.md #14), so a
+// single lock is not a measurable serialization point.
 //
 // Values are stored and returned as std::shared_ptr<const Value>: a hit
 // hands back a reference to the one immutable cached object instead of
@@ -26,13 +24,11 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -96,201 +92,61 @@ struct RoutingKey {
   auto operator<=>(const RoutingKey&) const = default;
 };
 
-// ---------------------------------------------------------------------------
-// Shard selection: a 64-bit hash per key type, finalized by splitmix64.
-// The hash only picks a shard — collisions are harmless (the shard's
-// ordered map still compares full keys) — but a well-avalanched hash keeps
-// the shards balanced, which the hammer test's conservation checks observe.
-// ---------------------------------------------------------------------------
-
-namespace cache_detail {
-
-constexpr std::uint64_t splitmix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return splitmix64(h ^ v);
-}
-
-template <typename T,
-          std::enable_if_t<std::is_integral_v<T> || std::is_enum_v<T>, int> = 0>
-std::uint64_t key_hash(T v) {
-  return splitmix64(static_cast<std::uint64_t>(v));
-}
-
-inline std::uint64_t key_hash(double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));  // keys never hold NaN; -0.0 == 0.0
-                                         // cannot occur (keys are exact)
-  return splitmix64(bits);
-}
-
-inline std::uint64_t key_hash(const std::string& s) {
-  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(s.size()));
-  for (const unsigned char c : s) h = mix(h, c);
-  return h;
-}
-
-inline std::uint64_t key_hash(const bgq::Geometry& g) {
-  std::uint64_t h = 0;
-  for (const std::int64_t d : g.dims()) h = mix(h, key_hash(d));
-  return h;
-}
-
-inline std::uint64_t key_hash(const PairingKey& k) {
-  std::uint64_t h = 0;
-  for (const std::int64_t d : k.baseline) h = mix(h, key_hash(d));
-  for (const std::int64_t d : k.proposed) h = mix(h, key_hash(d));
-  h = mix(h, key_hash(k.total_rounds));
-  h = mix(h, key_hash(k.warmup_rounds));
-  h = mix(h, key_hash(k.bytes_per_round));
-  return mix(h, key_hash(k.chunks_per_round));
-}
-
-inline std::uint64_t key_hash(const CapsKey& k) {
-  std::uint64_t h = 0;
-  for (const std::int64_t d : k.geometry) h = mix(h, key_hash(d));
-  h = mix(h, key_hash(k.n));
-  h = mix(h, key_hash(k.ranks));
-  return mix(h, key_hash(k.bfs_steps));
-}
-
-inline std::uint64_t key_hash(const RoutingKey& k) {
-  std::uint64_t h = key_hash(k.topology);
-  h = mix(h, key_hash(k.total_rounds));
-  h = mix(h, key_hash(k.warmup_rounds));
-  h = mix(h, key_hash(k.bytes_per_round));
-  h = mix(h, key_hash(k.chunks_per_round));
-  h = mix(h, key_hash(k.link_bytes_per_second));
-  h = mix(h, key_hash(k.tie_break));
-  return mix(h, key_hash(k.injection_bytes_per_second));
-}
-
-template <typename T>
-std::uint64_t key_hash(const std::vector<T>& v) {
-  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(v.size()));
-  for (const T& element : v) h = mix(h, key_hash(element));
-  return h;
-}
-
-template <typename T, std::size_t N>
-std::uint64_t key_hash(const std::array<T, N>& v) {
-  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(N));
-  for (const T& element : v) h = mix(h, key_hash(element));
-  return h;
-}
-
-template <typename A, typename B>
-std::uint64_t key_hash(const std::pair<A, B>& p) {
-  return mix(key_hash(p.first), key_hash(p.second));
-}
-
-}  // namespace cache_detail
-
-/// Shard count of every MemoCache (a power of two; the shard index is the
-/// top kCacheShardBits bits of the finalized key hash).
-inline constexpr std::size_t kCacheShardBits = 4;
-inline constexpr std::size_t kCacheShards = std::size_t{1} << kCacheShardBits;
-
-/// Generic keyed memo table, striped over kCacheShards independently locked
-/// ordered maps. Key must be strict-weak-orderable and have a
-/// cache_detail::key_hash overload. Values are immutable once inserted and
-/// shared by reference count.
+/// Generic keyed memo table: one std::map behind one mutex. Key must be
+/// strict-weak-orderable. Values are immutable once inserted and shared by
+/// reference count.
 template <typename Key, typename Value>
 class MemoCache {
  public:
-  /// One shard's counters, for stat-conservation and balance checks.
-  struct ShardStats {
-    CacheStats stats;
-    std::size_t entries = 0;
-  };
-
-  /// Returns the cached value for `key`, computing (outside any lock) and
+  /// Returns the cached value for `key`, computing (outside the lock) and
   /// inserting it on a miss. The returned pointer is never null and stays
   /// valid for the program's lifetime or until clear(), whichever is
   /// sooner — hold the shared_ptr across clear() if in doubt.
   template <typename Fn>
   std::shared_ptr<const Value> get_or_compute(const Key& key, Fn&& compute) {
-    Shard& shard = shard_for(key);
     {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        ++shard.hits;
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = map_.find(key);
+      if (it != map_.end()) {
+        ++stats_.hits;
         return it->second;
       }
     }
     auto value = std::make_shared<const Value>(compute());
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.misses;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.misses;
     // First insert wins: a concurrent miss on the same key inserted an
     // identical value (values are pure in their keys) and we return it.
-    return shard.map.emplace(key, std::move(value)).first->second;
+    return map_.emplace(key, std::move(value)).first->second;
   }
 
-  /// Aggregate counters over all shards.
   CacheStats stats() const {
-    CacheStats total;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total.hits += shard.hits;
-      total.misses += shard.misses;
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
   }
 
   std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.map.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return map_.size();
   }
 
-  /// Per-shard counters in shard order; summing them reproduces stats()
-  /// and size() exactly (each lookup is counted on exactly one shard).
-  std::array<ShardStats, kCacheShards> shard_stats() const {
-    std::array<ShardStats, kCacheShards> out;
-    for (std::size_t i = 0; i < kCacheShards; ++i) {
-      const Shard& shard = shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      out[i].stats = {shard.hits, shard.misses};
-      out[i].entries = shard.map.size();
-    }
-    return out;
+  /// Stats and entry count read under one lock, so a snapshot taken while
+  /// other threads insert never reports more entries than misses.
+  std::pair<CacheStats, std::size_t> snapshot() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return {stats_, map_.size()};
   }
 
   void clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.clear();
-      shard.hits = 0;
-      shard.misses = 0;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    map_.clear();
+    stats_ = {};
   }
 
  private:
-  // Padded to a cache line so two shards' mutexes never share one.
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    std::map<Key, std::shared_ptr<const Value>> map;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-
-  Shard& shard_for(const Key& key) {
-    const std::uint64_t h =
-        cache_detail::splitmix64(cache_detail::key_hash(key));
-    return shards_[static_cast<std::size_t>(h >> (64 - kCacheShardBits))];
-  }
-
-  std::array<Shard, kCacheShards> shards_;
+  mutable std::mutex mutex_;
+  std::map<Key, std::shared_ptr<const Value>> map_;
+  CacheStats stats_;
 };
 
 /// Shared memo layer handed to every task of a sweep. All methods are
@@ -356,30 +212,18 @@ class SweepContext {
     return topology_routing_.stats();
   }
 
-  /// Per-shard counters of the geometry cache — the hammer test's
-  /// conservation subject (the most contended cache in practice).
-  std::array<MemoCache<std::pair<bgq::Geometry, std::int64_t>,
-                       std::vector<bgq::Geometry>>::ShardStats,
-             kCacheShards>
-  geometry_shard_stats() const {
-    return geometries_.shard_stats();
-  }
-
-  /// Every cache's stats in display order: (name, stats, entries,
-  /// per-shard entries). The single source of truth for the runner footer,
-  /// publish_metrics, and the perf_report snapshot — adding a cache here
-  /// surfaces it in all three.
+  /// Every cache's stats in display order: (name, stats, entries). The
+  /// single source of truth for the runner footer and publish_metrics —
+  /// adding a cache here surfaces it in both.
   struct NamedStats {
     const char* name;
     CacheStats stats;
     std::size_t entries = 0;
-    std::array<std::size_t, kCacheShards> shard_entries{};
   };
   std::vector<NamedStats> all_stats() const;
 
   /// Publishes a snapshot of every cache into `registry` as gauges
-  /// (`cache.<name>.hits` / `.misses` / `.entries`, plus per-shard
-  /// `cache.<name>.shard<k>.entries` for occupied shards). Pull-based:
+  /// (`cache.<name>.hits` / `.misses` / `.entries`). Pull-based:
   /// caches pay nothing per lookup; callers publish once per report.
   void publish_metrics(obs::Registry& registry) const;
 

@@ -241,8 +241,8 @@ class Runner {
 
   const RunnerConfig& config() const { return config_; }
   bool fast() const { return config_.fast; }
-  /// The sweep options equivalent of the flags (for run_scheduler_sweep
-  /// and friends).
+  /// The sweep options equivalent of the flags (for
+  /// run_topology_scheduler_sweep).
   SweepOptions sweep_options() const;
   SweepContext& context() { return context_; }
   ThreadPool& pool() { return pool_; }

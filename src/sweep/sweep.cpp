@@ -1,152 +1,14 @@
 #include "sweep/sweep.hpp"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
-#include "bgq/bisection.hpp"
-#include "bgq/policy.hpp"
-#include "sweep/runner.hpp"
-
 namespace npac::sweep {
-
-std::string tie_break_name(simnet::TieBreak tie_break) {
-  switch (tie_break) {
-    case simnet::TieBreak::kSplit:
-      return "split";
-    case simnet::TieBreak::kPositive:
-      return "positive";
-  }
-  return "?";
-}
 
 // --------------------------------------------------------------------------
 // Scheduler sweep
-// --------------------------------------------------------------------------
-
-std::vector<SchedulerSweepRow> run_scheduler_sweep(
-    const SchedulerSweepGrid& grid, const SweepOptions& options,
-    SweepContext& context) {
-  if (grid.policies.empty() || grid.contention_fractions.empty()) {
-    throw std::invalid_argument(
-        "run_scheduler_sweep: policies and contention_fractions must be "
-        "non-empty");
-  }
-  if (grid.replications < 1) {
-    throw std::invalid_argument(
-        "run_scheduler_sweep: replications must be >= 1");
-  }
-  const std::int64_t num_fractions =
-      static_cast<std::int64_t>(grid.contention_fractions.size());
-  const std::int64_t reps = grid.replications;
-  const std::int64_t tasks =
-      static_cast<std::int64_t>(grid.policies.size()) * num_fractions * reps;
-
-  ThreadPool pool(options.threads);
-  const CachedPartitionOracle oracle(&context);
-  return parallel_map<SchedulerSweepRow>(pool, tasks, [&](std::int64_t index) {
-    const std::int64_t rep = index % reps;
-    const std::int64_t fraction_index = (index / reps) % num_fractions;
-    const std::int64_t policy_index = index / (reps * num_fractions);
-
-    SchedulerSweepRow row;
-    row.policy = grid.policies[static_cast<std::size_t>(policy_index)];
-    row.contention_fraction =
-        grid.contention_fractions[static_cast<std::size_t>(fraction_index)];
-    row.replication = static_cast<int>(rep);
-    // The trace seed excludes the policy axis on purpose: every policy
-    // replays the identical trace of its (fraction, replication) cell, so
-    // policy comparisons are paired.
-    row.trace_seed =
-        task_seed(options.base_seed, fraction_index * reps + rep);
-
-    TraceConfig config = grid.trace;
-    config.contention_fraction = row.contention_fraction;
-    core::CuboidAllocator allocator(grid.machine, oracle);
-    const auto result = core::simulate_schedule(
-        allocator, row.policy,
-        generate_trace(grid.machine, config, row.trace_seed));
-    row.makespan_seconds = result.makespan_seconds;
-    row.mean_slowdown = result.mean_slowdown;
-    row.mean_wait_seconds = result.mean_wait_seconds;
-    return row;
-  });
-}
-
-core::TextTable scheduler_sweep_table(
-    const std::vector<SchedulerSweepRow>& rows) {
-  core::TextTable table({"Policy", "Contention", "Rep", "Makespan (s)",
-                         "Mean slowdown", "Mean wait (s)"});
-  for (const SchedulerSweepRow& row : rows) {
-    table.add_row({core::to_string(row.policy),
-                   core::format_double(row.contention_fraction, 2),
-                   core::format_int(row.replication),
-                   core::format_double(row.makespan_seconds, 1),
-                   "x" + core::format_double(row.mean_slowdown, 3),
-                   core::format_double(row.mean_wait_seconds, 1)});
-  }
-  return table;
-}
-
-core::TextTable scheduler_sweep_summary(
-    const std::vector<SchedulerSweepRow>& rows) {
-  struct Cell {
-    double makespan = 0.0;
-    double slowdown = 0.0;
-    double wait = 0.0;
-    int count = 0;
-    std::string policy;
-    double fraction = 0.0;
-  };
-  std::vector<Cell> cells;
-  std::map<std::pair<std::string, double>, std::size_t> index;
-  for (const SchedulerSweepRow& row : rows) {
-    const auto key = std::make_pair(core::to_string(row.policy),
-                                    row.contention_fraction);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      it = index.emplace(key, cells.size()).first;
-      cells.push_back(Cell{});
-      cells.back().policy = key.first;
-      cells.back().fraction = key.second;
-    }
-    Cell& cell = cells[it->second];
-    cell.makespan += row.makespan_seconds;
-    cell.slowdown += row.mean_slowdown;
-    cell.wait += row.mean_wait_seconds;
-    ++cell.count;
-  }
-  core::TextTable table({"Policy", "Contention", "Reps", "Makespan (s)",
-                         "Mean slowdown", "Mean wait (s)"});
-  for (const Cell& cell : cells) {
-    const double n = static_cast<double>(cell.count);
-    table.add_row({cell.policy, core::format_double(cell.fraction, 2),
-                   core::format_int(cell.count),
-                   core::format_double(cell.makespan / n, 1),
-                   "x" + core::format_double(cell.slowdown / n, 3),
-                   core::format_double(cell.wait / n, 1)});
-  }
-  return table;
-}
-
-std::string scheduler_sweep_csv(const std::vector<SchedulerSweepRow>& rows) {
-  std::ostringstream out;
-  out << "policy,contention_fraction,replication,trace_seed,makespan_seconds,"
-         "mean_slowdown,mean_wait_seconds\n";
-  for (const SchedulerSweepRow& row : rows) {
-    out << core::to_string(row.policy) << ","
-        << format_exact(row.contention_fraction) << "," << row.replication
-        << "," << row.trace_seed << "," << format_exact(row.makespan_seconds)
-        << "," << format_exact(row.mean_slowdown) << ","
-        << format_exact(row.mean_wait_seconds) << "\n";
-  }
-  return out.str();
-}
-
-// --------------------------------------------------------------------------
-// Cross-topology scheduler sweep
 // --------------------------------------------------------------------------
 
 std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
@@ -313,77 +175,6 @@ TopologySchedulerGrid ext_sched_topologies_grid(bool fast) {
   grid.trace.num_jobs = fast ? 12 : 32;
   grid.replications = fast ? 2 : 4;
   return grid;
-}
-
-// --------------------------------------------------------------------------
-// Routing sweep
-// --------------------------------------------------------------------------
-
-std::vector<RoutingSweepRow> run_routing_sweep(const RoutingSweepGrid& grid,
-                                               const SweepOptions& options,
-                                               SweepContext& context) {
-  if (grid.geometries.empty() || grid.tie_breaks.empty()) {
-    throw std::invalid_argument(
-        "run_routing_sweep: geometries and tie_breaks must be non-empty");
-  }
-  const std::int64_t num_ties =
-      static_cast<std::int64_t>(grid.tie_breaks.size());
-  const std::int64_t tasks =
-      static_cast<std::int64_t>(grid.geometries.size()) * num_ties;
-
-  ThreadPool pool(options.threads);
-  return parallel_map<RoutingSweepRow>(pool, tasks, [&](std::int64_t index) {
-    RoutingSweepRow row;
-    row.geometry =
-        grid.geometries[static_cast<std::size_t>(index / num_ties)];
-    row.tie_break =
-        grid.tie_breaks[static_cast<std::size_t>(index % num_ties)];
-    simnet::NetworkOptions network = grid.network;
-    network.tie_break = row.tie_break;
-    row.result = context.pingpong(row.geometry, grid.config, network);
-    row.iso_bound_cut =
-        context.torus_bound(row.geometry.node_dims(), row.geometry.nodes() / 2)
-            .value;
-    return row;
-  });
-}
-
-core::TextTable routing_sweep_table(const std::vector<RoutingSweepRow>& rows) {
-  core::TextTable table({"Geometry", "Tie-break", "Measured (s)",
-                         "s/round", "Iso bound (cut)"});
-  for (const RoutingSweepRow& row : rows) {
-    table.add_row({row.geometry.to_string(), tie_break_name(row.tie_break),
-                   core::format_double(row.result.measured_seconds, 2),
-                   core::format_double(row.result.seconds_per_round, 3),
-                   core::format_double(row.iso_bound_cut, 0)});
-  }
-  return table;
-}
-
-std::string routing_sweep_csv(const std::vector<RoutingSweepRow>& rows) {
-  std::ostringstream out;
-  out << "geometry,tie_break,measured_seconds,total_seconds,seconds_per_round,"
-         "max_channel_bytes_per_round,iso_bound_cut\n";
-  for (const RoutingSweepRow& row : rows) {
-    out << row.geometry.to_string() << "," << tie_break_name(row.tie_break)
-        << "," << format_exact(row.result.measured_seconds) << ","
-        << format_exact(row.result.total_seconds) << ","
-        << format_exact(row.result.seconds_per_round) << ","
-        << format_exact(row.result.max_channel_bytes_per_round) << ","
-        << format_exact(row.iso_bound_cut) << "\n";
-  }
-  return out.str();
-}
-
-// --------------------------------------------------------------------------
-// Bisection sweep
-// --------------------------------------------------------------------------
-
-std::vector<core::MiraRow> mira_bisection_sweep(const SweepOptions& options,
-                                                SweepContext& context) {
-  ThreadPool pool(options.threads);
-  SweepEngine engine(context, pool);
-  return core::mira_rows(&engine);
 }
 
 }  // namespace npac::sweep

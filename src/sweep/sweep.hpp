@@ -21,7 +21,6 @@
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
-#include "simnet/pingpong.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/trace.hpp"
@@ -36,55 +35,15 @@ struct SweepOptions {
 };
 
 // --------------------------------------------------------------------------
-// Scheduler sweep: policy x contention mix x Monte Carlo replication.
-// --------------------------------------------------------------------------
-
-struct SchedulerSweepGrid {
-  bgq::Machine machine = bgq::mira();
-  std::vector<core::SchedulerPolicy> policies;
-  std::vector<double> contention_fractions;
-  /// Trace template; contention_fraction is overridden by the grid axis.
-  TraceConfig trace;
-  /// Independent traces per (policy, fraction) point.
-  int replications = 1;
-};
-
-struct SchedulerSweepRow {
-  core::SchedulerPolicy policy = core::SchedulerPolicy::kFirstFit;
-  double contention_fraction = 0.0;
-  int replication = 0;
-  std::uint64_t trace_seed = 0;
-  double makespan_seconds = 0.0;
-  double mean_slowdown = 1.0;
-  double mean_wait_seconds = 0.0;
-};
-
-/// Rows in grid order: policies (outer) x fractions x replications (inner).
-std::vector<SchedulerSweepRow> run_scheduler_sweep(
-    const SchedulerSweepGrid& grid, const SweepOptions& options,
-    SweepContext& context);
-
-/// One row per replication (full resolution).
-core::TextTable scheduler_sweep_table(
-    const std::vector<SchedulerSweepRow>& rows);
-
-/// Replication means, one row per (policy, fraction) in first-seen order.
-core::TextTable scheduler_sweep_summary(
-    const std::vector<SchedulerSweepRow>& rows);
-
-/// Round-trip-exact CSV — the canonical artifact for determinism checks.
-std::string scheduler_sweep_csv(const std::vector<SchedulerSweepRow>& rows);
-
-// --------------------------------------------------------------------------
-// Cross-topology scheduler sweep: machine family x policy x contention mix.
-// The scheduler analogue of ext_topologies — every machine is a
-// core::PartitionAllocator family at equal allocation-unit count, so the
-// wait-for-best trade-off is comparable across torus / dragonfly /
-// fat-tree machines.
+// Scheduler sweep: machine x policy x contention mix x Monte Carlo
+// replication. Every machine is a core::PartitionAllocator family, so the
+// same sweep runs the Section 5 trade-off on Mira alone (a one-machine
+// grid, bench/ext_scheduler) and across torus / dragonfly / fat-tree
+// machines of equal allocation-unit count (bench/ext_sched_topologies).
 // --------------------------------------------------------------------------
 
 struct TopologyMachineCase {
-  std::string label;        ///< e.g. "torus", "dragonfly", "fattree"
+  std::string label;        ///< e.g. "Mira", "torus", "dragonfly"
   topo::TopologySpec spec;  ///< must have an allocator family
   /// Job sizes (allocation units) traces draw from; equal-unit grids share
   /// one pool so machine columns replay identical traces.
@@ -138,45 +97,5 @@ std::string topology_scheduler_csv(
 /// one size pool. Shared with tests/sweep/runner_test.cpp so the
 /// byte-identity regression runs the exact bench grid.
 TopologySchedulerGrid ext_sched_topologies_grid(bool fast);
-
-// --------------------------------------------------------------------------
-// Routing sweep: geometry x tie-break ping-pong, with the Theorem 3.1
-// isoperimetric bound of each node torus alongside the measurement.
-// --------------------------------------------------------------------------
-
-struct RoutingSweepGrid {
-  std::vector<bgq::Geometry> geometries;
-  std::vector<simnet::TieBreak> tie_breaks;
-  simnet::PingPongConfig config;
-  /// tie_break is overridden by the grid axis.
-  simnet::NetworkOptions network;
-};
-
-struct RoutingSweepRow {
-  bgq::Geometry geometry{1, 1, 1, 1};
-  simnet::TieBreak tie_break = simnet::TieBreak::kSplit;
-  simnet::PingPongResult result;
-  /// Theorem 3.1 lower bound on the node-torus cut at t = nodes / 2.
-  double iso_bound_cut = 0.0;
-};
-
-/// Rows in grid order: geometries (outer) x tie_breaks (inner).
-std::vector<RoutingSweepRow> run_routing_sweep(const RoutingSweepGrid& grid,
-                                               const SweepOptions& options,
-                                               SweepContext& context);
-
-core::TextTable routing_sweep_table(const std::vector<RoutingSweepRow>& rows);
-std::string routing_sweep_csv(const std::vector<RoutingSweepRow>& rows);
-
-// --------------------------------------------------------------------------
-// Bisection sweep: the Figure 1 / Table 6 analysis with the per-size cuboid
-// searches fanned onto the pool. Equals core::mira_rows() element-wise.
-// --------------------------------------------------------------------------
-
-std::vector<core::MiraRow> mira_bisection_sweep(const SweepOptions& options,
-                                                SweepContext& context);
-
-/// Display name for a tie-break policy ("split" / "positive").
-std::string tie_break_name(simnet::TieBreak tie_break);
 
 }  // namespace npac::sweep

@@ -191,14 +191,22 @@ std::vector<core::Job> parse_trace(const std::string& text) {
       }
       throw malformed();
     };
+    // stod accepts "nan" and "inf"; a non-finite time would poison the
+    // scheduler's event ordering, so reject it here with the line.
     const auto parse_double = [&](const std::string& field) -> double {
+      double value = 0.0;
+      std::size_t pos = 0;
       try {
-        std::size_t pos = 0;
-        const double value = std::stod(field, &pos);
-        if (pos == field.size()) return value;
+        value = std::stod(field, &pos);
       } catch (const std::exception&) {
+        throw malformed();
       }
-      throw malformed();
+      if (pos != field.size()) throw malformed();
+      if (!std::isfinite(value)) {
+        throw std::invalid_argument("parse_trace: non-finite number on line " +
+                                    std::to_string(line_number));
+      }
+      return value;
     };
     core::Job job;
     job.id = parse_int(fields[0]);

@@ -1,8 +1,8 @@
-// TSan-targeted hammer: the work-stealing sweep::ThreadPool + the striped
+// TSan-targeted hammer: the work-stealing sweep::ThreadPool + the
 // SweepContext memo caches driven hard from 8 workers with metrics AND
 // tracing fully on. The CI `tsan` job runs this binary (and the rest of
 // `ctest -L concurrency`) under -fsanitize=thread; unsynchronized access to
-// the cache shards, the Chase-Lev deques, the pool bookkeeping, or the obs
+// the cache maps, the Chase-Lev deques, the pool bookkeeping, or the obs
 // instruments shows up as a hard failure here instead of a once-a-month
 // flaky digest.
 //
@@ -12,6 +12,7 @@
 // costs, where the steal schedule differs wildly between thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -71,8 +72,8 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   ThreadPool pool(kThreads);
   ASSERT_EQ(pool.num_threads(), kThreads);
   // Three rounds through the same caches: round 1 is mostly misses (every
-  // worker racing to insert into the shards), rounds 2-3 are mostly hits —
-  // both paths of MemoCache::get_or_compute get contended coverage.
+  // worker racing to insert), rounds 2-3 are mostly hits — both paths of
+  // MemoCache::get_or_compute get contended coverage.
   for (int round = 0; round < 3; ++round) {
     pool.run_indexed(kTasks, [&](std::int64_t i) {
       const std::int64_t t = 1 + (i % 50);
@@ -105,21 +106,17 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   EXPECT_EQ(geometries.lookups(), static_cast<std::uint64_t>(3 * kTasks));
   EXPECT_GT(geometry_rows.load(), 0u);
 
-  // Striping conservation: each lookup and entry is counted on exactly one
-  // shard, so the per-shard counters reproduce the aggregates exactly even
-  // after 8 workers hammered the shards concurrently.
+  // all_stats() reports the same aggregates after 8 workers hammered the
+  // cache concurrently, and exactly one entry per distinct key survives.
   {
-    const auto shards = context.geometry_shard_stats();
-    std::uint64_t hits = 0, misses = 0;
-    std::size_t entries = 0;
-    for (const auto& shard : shards) {
-      hits += shard.stats.hits;
-      misses += shard.stats.misses;
-      entries += shard.entries;
-    }
-    EXPECT_EQ(hits, geometries.hits);
-    EXPECT_EQ(misses, geometries.misses);
-    EXPECT_EQ(entries, 8u);  // 8 distinct (machine, midplanes) keys
+    const auto all = context.all_stats();
+    const auto named = std::find_if(all.begin(), all.end(), [](const auto& c) {
+      return std::string(c.name) == "geometries";
+    });
+    ASSERT_NE(named, all.end());
+    EXPECT_EQ(named->stats.hits, geometries.hits);
+    EXPECT_EQ(named->stats.misses, geometries.misses);
+    EXPECT_EQ(named->entries, 8u);  // 8 distinct (machine, midplanes) keys
   }
 
   // The instrumentation saw the work: pool counters sum across workers,

@@ -387,6 +387,38 @@ TEST(StreamingSchedulerTest, ThrowsOnDecreasingArrivalNamingJob) {
   }
 }
 
+TEST(StreamingSchedulerTest, NonFiniteTimesThrowNamingJob) {
+  // A NaN arrival used to slip past the ordering check (NaN compares false)
+  // and leave the event loop reading the front of an empty queue.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Job>> traces = {
+      {make_job(7, 1, 1.0, true, nan)},
+      {make_job(0, 1, 1.0), make_job(7, 1, 1.0, true, nan)},
+      {make_job(0, 1, 1.0), make_job(7, 1, 1.0, true, inf)},
+      {make_job(0, 1, 1.0), make_job(7, 1, nan)},
+      {make_job(0, 1, 1.0), make_job(7, 1, inf)},
+      {make_job(0, 1, 1.0), make_job(7, 1, -1.0)},
+  };
+  for (const auto& jobs : traces) {
+    CuboidAllocator allocator(bgq::mira());
+    StreamingScheduler scheduler(allocator, SchedulerPolicy::kBestBisection);
+    VectorJobSource source(jobs);
+    try {
+      scheduler.run(source, nullptr);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("job 7"), std::string::npos) << message;
+    }
+    // The vector wrapper reaches the same check.
+    CuboidAllocator wrapped(bgq::mira());
+    EXPECT_THROW(
+        simulate_schedule(wrapped, SchedulerPolicy::kFirstFit, jobs),
+        std::invalid_argument);
+  }
+}
+
 TEST(StreamingSchedulerTest, InfeasibleSizeThrowNamesJob) {
   CuboidAllocator allocator(bgq::mira());
   StreamingScheduler scheduler(allocator, SchedulerPolicy::kBestBisection);

@@ -108,6 +108,35 @@ TEST(SwfTest, MalformedRowThrowsNamingLine) {
   }
 }
 
+TEST(SwfTest, OutOfRangeIntegerFieldsThrowNamingLine) {
+  // Each row would otherwise cast a double outside the int64 range to an
+  // integer, which is undefined behaviour (job id or units INT64_MIN).
+  const std::string ok = "1 0 0 10 4 0 0 4 10\n";
+  for (const std::string row :
+       {"1e30 0 0 10 4 0 0 4 10", "-1e30 0 0 10 4 0 0 4 10",
+        "9223372036854775808 0 0 10 4 0 0 4 10", "2 0 0 10 4 0 0 1e30 10",
+        "2 0 0 10 1e30 0 0 -1 10"}) {
+    try {
+      parse_swf(ok + row + "\n");
+      ADD_FAILURE() << "expected std::invalid_argument for " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+          << row << ": " << error.what();
+    }
+  }
+}
+
+TEST(SwfTest, LargestProcessorCountScalesWithoutOverflow) {
+  // 2^63 - 1024 processors is in range; the ceiling division must not
+  // overflow on the way to ceil((2^63 - 1024) / 2048) = 2^52.
+  SwfOptions options;
+  options.procs_per_unit = 2048;
+  const auto jobs = parse_swf("1 0 0 10 9223372036854774784 0 0 -1 10\n",
+                              options);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].midplanes, std::int64_t{1} << 52);
+}
+
 TEST(SwfTest, ShortRowThrows) {
   EXPECT_THROW(parse_swf("1 0 0 120\n"), std::invalid_argument);
 }

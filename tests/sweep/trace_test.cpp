@@ -147,6 +147,23 @@ TEST(TraceTest, ParseRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(TraceTest, ParseRejectsNonFiniteTimesNamingLine) {
+  const std::string header =
+      "id,midplanes,base_seconds,contention_bound,arrival_seconds\n";
+  const std::string good = "0,1,3.0,1,0.0\n";
+  for (const std::string row :
+       {"1,2,nan,1,5.0", "1,2,3.0,1,nan", "1,2,inf,1,5.0", "1,2,3.0,1,-inf",
+        "1,2,3.0,1,1e400"}) {
+    try {
+      parse_trace(header + good + row + "\n");
+      ADD_FAILURE() << "expected std::invalid_argument for " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+          << row << ": " << error.what();
+    }
+  }
+}
+
 TEST(TraceTest, PoolOverloadMatchesMachineOverloadDrawForDraw) {
   // The machine-agnostic overload with the machine's effective pool must
   // produce the identical stream — that is what lets the cross-family

@@ -105,7 +105,7 @@ TEST(NpaclintD3, FiresOutsideTimingLayers) {
 TEST(NpaclintD3, TimingLayersAreExempt) {
   for (const std::string path :
        {"src/obs/d3_fixture.cpp", "src/sweep/runner.cpp",
-        "bench/perf_report.cpp"}) {
+        "bench/ext_scheduler.cpp"}) {
     const FileReport report = lint_fixture("d3_wallclock.cpp", path);
     EXPECT_EQ(count_rule(report, "D3"), 0) << path;
   }
