@@ -1,9 +1,12 @@
 #include "core/allocator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "support/hot.hpp"
 
 namespace npac::core {
 
@@ -37,16 +40,59 @@ std::string to_string(PositionScoring scoring) {
   throw std::invalid_argument("to_string: unknown PositionScoring");
 }
 
-std::int64_t OwnerArray::release(std::int64_t job_id) {
-  std::int64_t freed = 0;
-  for (auto& owner : owner_) {
-    if (owner == job_id) {
-      owner = -1;
-      ++freed;
-    }
+OwnerArray::OwnerArray(std::int64_t units)
+    : units_(units),
+      occupied_(static_cast<std::size_t>((units + 63) / 64), 0),
+      free_(units) {}
+
+OwnerArray::Word* OwnerArray::job_mask(std::int64_t job_id) {
+  const std::size_t words = occupied_.size();
+  // Newest first: the units of one multi-unit take land in the entry the
+  // take's first unit appended.
+  for (std::size_t i = jobs_.size(); i-- > 0;) {
+    if (jobs_[i] == job_id) return masks_.data() + i * words;
   }
-  free_ += freed;
-  return freed;
+  jobs_.push_back(job_id);
+  masks_.resize(masks_.size() + words, 0);
+  return masks_.data() + (jobs_.size() - 1) * words;
+}
+
+void OwnerArray::take(std::size_t unit, std::int64_t job_id) {
+  const Word bit = Word{1} << (unit % 64);
+  occupied_[unit / 64] |= bit;
+  job_mask(job_id)[unit / 64] |= bit;
+  --free_;
+}
+
+void OwnerArray::take(const Word* mask, std::int64_t job_id) {
+  Word* owned = job_mask(job_id);
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    occupied_[w] |= mask[w];
+    owned[w] |= mask[w];
+    free_ -= std::popcount(mask[w]);
+  }
+}
+
+std::int64_t OwnerArray::release(std::int64_t job_id) {
+  const std::size_t words = occupied_.size();
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    if (jobs_[i] != job_id) continue;
+    Word* owned = masks_.data() + i * words;
+    std::int64_t freed = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      occupied_[w] &= ~owned[w];
+      freed += std::popcount(owned[w]);
+    }
+    // Swap-remove: entry order carries no meaning.
+    const std::size_t last = jobs_.size() - 1;
+    jobs_[i] = jobs_[last];
+    std::copy_n(masks_.data() + last * words, words, owned);
+    jobs_.pop_back();
+    masks_.resize(last * words);
+    free_ += freed;
+    return freed;
+  }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -72,18 +118,7 @@ MidplaneGrid::MidplaneGrid(bgq::Machine machine)
       dims_(machine_.shape.dims()),
       owners_(machine_.midplanes()) {}
 
-std::size_t MidplaneGrid::cell_index(
-    const std::array<std::int64_t, 4>& cell) const {
-  std::size_t index = 0;
-  for (int i = 0; i < 4; ++i) {
-    index = index * static_cast<std::size_t>(dims_[static_cast<std::size_t>(i)]) +
-            static_cast<std::size_t>(cell[static_cast<std::size_t>(i)]);
-  }
-  return index;
-}
-
-template <typename Fn>
-void MidplaneGrid::for_each_cell(const Placement& placement, Fn&& fn) const {
+void MidplaneGrid::cell_mask(const Placement& placement, Word* mask) const {
   std::array<std::int64_t, 4> cell{};
   for (std::int64_t a = 0; a < placement.extent[0]; ++a) {
     cell[0] = (placement.origin[0] + a) % dims_[0];
@@ -93,7 +128,10 @@ void MidplaneGrid::for_each_cell(const Placement& placement, Fn&& fn) const {
         cell[2] = (placement.origin[2] + c) % dims_[2];
         for (std::int64_t d = 0; d < placement.extent[3]; ++d) {
           cell[3] = (placement.origin[3] + d) % dims_[3];
-          fn(cell);
+          const auto index = static_cast<std::size_t>(
+              ((cell[0] * dims_[1] + cell[1]) * dims_[2] + cell[2]) * dims_[3] +
+              cell[3]);
+          mask[index / 64] |= Word{1} << (index % 64);
         }
       }
     }
@@ -101,17 +139,16 @@ void MidplaneGrid::for_each_cell(const Placement& placement, Fn&& fn) const {
 }
 
 bool MidplaneGrid::fits(const Placement& placement) const {
-  for (int i = 0; i < 4; ++i) {
-    const auto extent = placement.extent[static_cast<std::size_t>(i)];
-    const auto origin = placement.origin[static_cast<std::size_t>(i)];
-    if (extent < 1 || extent > dims_[static_cast<std::size_t>(i)]) return false;
-    if (origin < 0 || origin >= dims_[static_cast<std::size_t>(i)]) return false;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (placement.extent[i] < 1 || placement.extent[i] > dims_[i]) return false;
+    if (placement.origin[i] < 0 || placement.origin[i] >= dims_[i]) return false;
   }
-  bool free = true;
-  for_each_cell(placement, [&](const std::array<std::int64_t, 4>& cell) {
-    if (!owners_.is_free(cell_index(cell))) free = false;
-  });
-  return free;
+  std::vector<Word> mask(owners_.words(), 0);
+  cell_mask(placement, mask.data());
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    if ((mask[w] & owners_.occupied()[w]) != 0) return false;
+  }
+  return true;
 }
 
 void MidplaneGrid::occupy(const Placement& placement, std::int64_t job_id) {
@@ -122,82 +159,189 @@ void MidplaneGrid::occupy(const Placement& placement, std::int64_t job_id) {
     throw std::invalid_argument(
         "MidplaneGrid::occupy: placement overlaps or is out of range");
   }
-  for_each_cell(placement, [&](const std::array<std::int64_t, 4>& cell) {
-    owners_.take(cell_index(cell), job_id);
-  });
+  std::vector<Word> mask(owners_.words(), 0);
+  cell_mask(placement, mask.data());
+  owners_.take(mask.data(), job_id);
 }
 
-std::optional<Placement> MidplaneGrid::find_placement(
-    const bgq::Geometry& shape, PositionScoring scoring) const {
-  // Try every distinct axis assignment of the canonical shape, anchored at
-  // every origin. Hosts have at most 96 cells and 24 permutations, so the
-  // scan is trivial.
-  std::optional<Placement> best;
-  std::int64_t best_contact = -1;
-  std::array<std::int64_t, 4> extent = shape.dims();
-  std::sort(extent.begin(), extent.end());
+void MidplaneGrid::occupy(const ShapeScan& scan, std::size_t index,
+                          std::int64_t job_id) {
+  if (job_id < 0) {
+    throw std::invalid_argument("MidplaneGrid::occupy: job id must be >= 0");
+  }
+  owners_.take(scan.cells.data() + index * owners_.words(), job_id);
+}
+
+MidplaneGrid::ShapeScan MidplaneGrid::build_scan(
+    const std::array<std::int64_t, 4>& ascending) const {
+  // A cuboid is the intersection of one cyclic slab per axis, so every
+  // mask is a few word ANDs of per-axis plane masks: planes[i][v] holds
+  // the cells whose axis-i coordinate is v.
+  const std::size_t words = owners_.words();
+  std::array<std::vector<Word>, 4> planes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    planes[i].assign(static_cast<std::size_t>(dims_[i]) * words, 0);
+  }
+  for (std::int64_t index = 0; index < owners_.size(); ++index) {
+    std::int64_t rest = index;
+    for (std::size_t i = 4; i-- > 0;) {
+      const auto v = static_cast<std::size_t>(rest % dims_[i]);
+      rest /= dims_[i];
+      planes[i][v * words + static_cast<std::size_t>(index / 64)] |=
+          Word{1} << (index % 64);
+    }
+  }
+  const auto plane = [&](std::size_t axis, std::int64_t v) {
+    return planes[axis].data() +
+           static_cast<std::size_t>((v % dims_[axis] + dims_[axis]) %
+                                    dims_[axis]) *
+               words;
+  };
+
+  ShapeScan scan;
+  std::array<std::int64_t, 4> extent = ascending;
+  std::array<std::vector<Word>, 4> slabs;  // slabs[i][o]: axis-i interval
   do {
     bool extent_fits = true;
     for (std::size_t i = 0; i < 4; ++i) {
       if (extent[i] > dims_[i]) extent_fits = false;
     }
     if (!extent_fits) continue;
-    Placement placement;
-    placement.extent = extent;
-    for (std::int64_t a = 0; a < dims_[0]; ++a) {
-      for (std::int64_t b = 0; b < dims_[1]; ++b) {
-        for (std::int64_t c = 0; c < dims_[2]; ++c) {
-          for (std::int64_t d = 0; d < dims_[3]; ++d) {
-            placement.origin = {a, b, c, d};
-            if (!fits(placement)) continue;
-            if (scoring == PositionScoring::kScanOrder) return placement;
-            const std::int64_t contact = boundary_contact(placement);
-            if (contact > best_contact) {
-              best_contact = contact;
-              best = placement;
+    const auto extent_index = static_cast<std::uint32_t>(scan.extents.size());
+    scan.extents.push_back(extent);
+    for (std::size_t i = 0; i < 4; ++i) {
+      slabs[i].assign(static_cast<std::size_t>(dims_[i]) * words, 0);
+      for (std::int64_t o = 0; o < dims_[i]; ++o) {
+        for (std::int64_t k = 0; k < extent[i]; ++k) {
+          const Word* p = plane(i, o + k);
+          for (std::size_t w = 0; w < words; ++w) {
+            slabs[i][static_cast<std::size_t>(o) * words + w] |= p[w];
+          }
+        }
+      }
+    }
+    std::array<std::int64_t, 4> o{};
+    std::uint32_t origin_index = 0;
+    for (o[0] = 0; o[0] < dims_[0]; ++o[0]) {
+      for (o[1] = 0; o[1] < dims_[1]; ++o[1]) {
+        for (o[2] = 0; o[2] < dims_[2]; ++o[2]) {
+          for (o[3] = 0; o[3] < dims_[3]; ++o[3], ++origin_index) {
+            bool repeat = false;  // same cells as the origin-0 placement
+            for (std::size_t i = 0; i < 4; ++i) {
+              if (extent[i] == dims_[i] && o[i] != 0) repeat = true;
+            }
+            if (repeat) continue;
+            scan.entries.push_back({origin_index, extent_index});
+            std::array<const Word*, 4> slab{};  // this origin's intervals
+            for (std::size_t i = 0; i < 4; ++i) {
+              slab[i] = slabs[i].data() + static_cast<std::size_t>(o[i]) * words;
+            }
+            for (std::size_t w = 0; w < words; ++w) {
+              scan.cells.push_back(slab[0][w] & slab[1][w] & slab[2][w] &
+                                   slab[3][w]);
+            }
+            // Halo cells sit one step outside along exactly one axis (the
+            // other coordinates inside), so the axes' halos are disjoint.
+            // An axis the cuboid spans fully has no outside.
+            const std::size_t halo_at = scan.halos.size();
+            scan.halos.resize(halo_at + 2 * words, 0);
+            for (std::size_t d = 0; d < 4; ++d) {
+              if (extent[d] == dims_[d]) continue;
+              const Word* below = plane(d, o[d] - 1);
+              const Word* above = plane(d, o[d] + extent[d]);
+              for (std::size_t w = 0; w < words; ++w) {
+                Word cross = ~Word{0};
+                for (std::size_t i = 0; i < 4; ++i) {
+                  if (i != d) cross &= slab[i][w];
+                }
+                scan.halos[halo_at + w] |= cross & (below[w] | above[w]);
+                // below == above exactly when dims_[d] == extent[d] + 1.
+                scan.halos[halo_at + words + w] |= cross & below[w] & above[w];
+              }
             }
           }
         }
       }
     }
   } while (std::next_permutation(extent.begin(), extent.end()));
+  return scan;
+}
+
+const MidplaneGrid::ShapeScan& MidplaneGrid::shape_scan(
+    const bgq::Geometry& shape) const {
+  std::array<std::int64_t, 4> ascending = shape.dims();
+  std::sort(ascending.begin(), ascending.end());
+  const auto it = scans_.find(ascending);
+  if (it != scans_.end()) return it->second;
+  return scans_.emplace(ascending, build_scan(ascending)).first->second;
+}
+
+namespace {
+
+/// The torus placement scan over precomputed masks (MidplaneGrid::
+/// ShapeScan layout): the index of the first entry whose cells miss
+/// every occupied bit, or under `best_fit` of the first such entry with
+/// the highest boundary contact popcount(occupied & halo1) +
+/// popcount(occupied & halo2); `count` when none fits.
+/// NPAC_HOT: allocation-free by contract; every array is caller-owned.
+NPAC_HOT std::size_t scan_masks(const OwnerArray::Word* occupied,
+                                std::size_t words,
+                                const OwnerArray::Word* cells,
+                                const OwnerArray::Word* halos,
+                                std::size_t count, bool best_fit) {
+  std::size_t best = count;
+  std::int64_t best_contact = -1;
+  for (std::size_t i = 0; i < count; ++i) {
+    const OwnerArray::Word* cell = cells + i * words;
+    OwnerArray::Word overlap = 0;
+    for (std::size_t w = 0; w < words; ++w) overlap |= occupied[w] & cell[w];
+    if (overlap != 0) continue;
+    if (!best_fit) return i;
+    const OwnerArray::Word* halo = halos + 2 * i * words;
+    std::int64_t contact = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      contact += std::popcount(occupied[w] & halo[w]) +
+                 std::popcount(occupied[w] & halo[words + w]);
+    }
+    if (contact > best_contact) {
+      best_contact = contact;
+      best = i;
+    }
+  }
   return best;
 }
 
-std::int64_t MidplaneGrid::boundary_contact(const Placement& placement) const {
-  // Count occupied neighbors just outside the placement, one per
-  // face-adjacent (cell, direction) pair. A dimension the placement spans
-  // fully has no outside along it (the torus wraps the placement onto
-  // itself), so it contributes nothing.
-  std::int64_t contact = 0;
-  std::array<std::int64_t, 4> offset{};
-  for (offset[0] = 0; offset[0] < placement.extent[0]; ++offset[0]) {
-    for (offset[1] = 0; offset[1] < placement.extent[1]; ++offset[1]) {
-      for (offset[2] = 0; offset[2] < placement.extent[2]; ++offset[2]) {
-        for (offset[3] = 0; offset[3] < placement.extent[3]; ++offset[3]) {
-          for (std::size_t dim = 0; dim < 4; ++dim) {
-            if (placement.extent[dim] == dims_[dim]) continue;  // no outside
-            for (const std::int64_t step : {std::int64_t{-1}, std::int64_t{1}}) {
-              const std::int64_t neighbor_offset = offset[dim] + step;
-              if (neighbor_offset >= 0 &&
-                  neighbor_offset < placement.extent[dim]) {
-                continue;  // inside the placement
-              }
-              std::array<std::int64_t, 4> cell{};
-              for (std::size_t i = 0; i < 4; ++i) {
-                cell[i] = (placement.origin[i] + offset[i]) % dims_[i];
-              }
-              cell[dim] = (placement.origin[dim] + neighbor_offset % dims_[dim] +
-                           dims_[dim]) %
-                          dims_[dim];
-              if (!owners_.is_free(cell_index(cell))) ++contact;
-            }
-          }
-        }
-      }
-    }
+}  // namespace
+
+std::optional<std::size_t> MidplaneGrid::find_in(
+    const ShapeScan& scan, PositionScoring scoring) const {
+  const std::size_t index =
+      scan_masks(owners_.occupied(), owners_.words(), scan.cells.data(),
+                 scan.halos.data(), scan.entries.size(),
+                 scoring == PositionScoring::kBestFit);
+  if (index == scan.entries.size()) return std::nullopt;
+  return index;
+}
+
+Placement MidplaneGrid::placement(const ShapeScan& scan,
+                                  std::size_t index) const {
+  const ShapeScan::Entry& entry = scan.entries[index];
+  Placement placement;
+  placement.extent = scan.extents[entry.extent];
+  std::int64_t rest = entry.origin;
+  for (std::size_t i = 4; i-- > 0;) {
+    placement.origin[i] = rest % dims_[i];
+    rest /= dims_[i];
   }
-  return contact;
+  return placement;
+}
+
+std::optional<Placement> MidplaneGrid::find_placement(
+    const bgq::Geometry& shape, PositionScoring scoring) const {
+  const ShapeScan& scan = shape_scan(shape);
+  const auto index = find_in(scan, scoring);
+  if (!index) return std::nullopt;
+  return placement(scan, *index);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,41 +366,40 @@ std::int64_t CuboidAllocator::total_units() const {
   return machine().midplanes();
 }
 
-const std::vector<bgq::Geometry>& CuboidAllocator::geometries_for(
+CuboidAllocator::SizeClasses& CuboidAllocator::classes_for(
     std::int64_t size) const {
-  const auto it = enumerations_.find(size);
-  if (it != enumerations_.end()) return *it->second;
-  return *enumerations_.emplace(size, oracle_->geometries(machine(), size))
-              .first->second;
+  const auto it = classes_.find(size);
+  if (it != classes_.end()) return it->second;
+  SizeClasses classes;
+  classes.geometries = oracle_->geometries(machine(), size);
+  for (const bgq::Geometry& shape : *classes.geometries) {
+    classes.qualities.push_back(
+        static_cast<double>(bgq::normalized_bisection(shape)));
+  }
+  classes.scans.assign(classes.geometries->size(), nullptr);
+  return classes_.emplace(size, std::move(classes)).first->second;
 }
 
 std::vector<double> CuboidAllocator::candidate_qualities(
     std::int64_t size) const {
-  const auto& geometries = geometries_for(size);
-  std::vector<double> qualities;
-  qualities.reserve(geometries.size());
-  for (const bgq::Geometry& shape : geometries) {
-    qualities.push_back(
-        static_cast<double>(bgq::normalized_bisection(shape)));
-  }
-  return qualities;
+  return classes_for(size).qualities;
 }
 
 std::optional<Partition> CuboidAllocator::try_place(std::int64_t size,
                                                     std::size_t candidate,
                                                     std::int64_t job_id) {
-  const auto& geometries = geometries_for(size);
-  const bgq::Geometry& shape = geometries.at(candidate);
-  const auto placement = grid_.find_placement(shape, position_scoring());
-  if (!placement) return std::nullopt;
-  grid_.occupy(*placement, job_id);
+  SizeClasses& classes = classes_for(size);
+  const MidplaneGrid::ShapeScan*& scan = classes.scans.at(candidate);
+  if (scan == nullptr) scan = &grid_.shape_scan((*classes.geometries)[candidate]);
+  const auto index = grid_.find_in(*scan, position_scoring());
+  if (!index) return std::nullopt;
+  grid_.occupy(*scan, *index, job_id);
   Partition partition;
-  partition.label = placement->to_string();
+  partition.cuboid = grid_.placement(*scan, *index);
+  partition.label = partition.cuboid->to_string();
   partition.units = size;
-  partition.quality = static_cast<double>(bgq::normalized_bisection(shape));
-  partition.best_quality =
-      static_cast<double>(bgq::normalized_bisection(geometries.front()));
-  partition.cuboid = *placement;
+  partition.quality = classes.qualities[candidate];
+  partition.best_quality = classes.qualities.front();
   return partition;
 }
 

@@ -23,7 +23,10 @@
 // EASY backfill) are expressed once in core::StreamingScheduler and run
 // unchanged on every family. Within a class, each family has one placement
 // scan parameterized by PositionScoring, and every family keeps its
-// occupancy in one OwnerArray. Expensive layout scoring goes through a
+// occupancy in one OwnerArray: a bit per unit packed into 64-bit words,
+// plus each resident job's unit mask, so a release clears one stored mask.
+// The torus scan tests precomputed cuboid masks against those words
+// (MidplaneGrid::ShapeScan). Expensive layout scoring goes through a
 // PartitionOracle so sweeps can memoize it per machine descriptor
 // (sweep::CachedPartitionOracle).
 #pragma once
@@ -99,30 +102,48 @@ enum class PositionScoring {
 
 std::string to_string(PositionScoring scoring);
 
-/// Unit -> owning job id ledger of one machine, shared by every family: a
-/// slot per midplane, chassis or edge subtree, -1 when free. The free
-/// count moves with every take and release, so no family keeps a second
-/// tally.
+/// Occupancy ledger of one machine, shared by every family: one bit per
+/// allocation unit (midplane, chassis or edge subtree), set while taken,
+/// packed into ceil(units / 64) 64-bit words; unit u is bit u % 64 of word
+/// u / 64. It also stores the unit mask of every resident job, so
+/// release(job) clears that mask in a few word operations instead of
+/// scanning the units. The free count moves with every take and release,
+/// so no family keeps a second tally.
 class OwnerArray {
  public:
-  explicit OwnerArray(std::int64_t units = 0)
-      : owner_(static_cast<std::size_t>(units), -1), free_(units) {}
+  using Word = std::uint64_t;
 
-  std::int64_t size() const { return static_cast<std::int64_t>(owner_.size()); }
+  explicit OwnerArray(std::int64_t units = 0);
+
+  std::int64_t size() const { return units_; }
+  /// Number of 64-bit words in the occupancy and in every job mask.
+  std::size_t words() const { return occupied_.size(); }
   std::int64_t free_units() const { return free_; }
-  bool is_free(std::size_t unit) const { return owner_[unit] == -1; }
+  bool is_free(std::size_t unit) const {
+    return ((occupied_[unit / 64] >> (unit % 64)) & 1) == 0;
+  }
+  /// The occupancy words (words() of them); a set bit is a taken unit.
+  const Word* occupied() const { return occupied_.data(); }
 
   /// Hands the free `unit` to `job_id`.
-  void take(std::size_t unit, std::int64_t job_id) {
-    owner_[unit] = job_id;
-    --free_;
-  }
+  void take(std::size_t unit, std::int64_t job_id);
 
-  /// Frees every unit owned by `job_id`. Returns the number freed.
+  /// Hands every unit set in `mask` (words() words, all of them free) to
+  /// `job_id`.
+  void take(const Word* mask, std::int64_t job_id);
+
+  /// Frees every unit owned by `job_id`. Returns the number freed: 0 for a
+  /// job that holds nothing (unknown or already released).
   std::int64_t release(std::int64_t job_id);
 
  private:
-  std::vector<std::int64_t> owner_;
+  /// The stored mask of `job_id`, appending an empty one for a new job.
+  Word* job_mask(std::int64_t job_id);
+
+  std::int64_t units_ = 0;
+  std::vector<Word> occupied_;
+  std::vector<std::int64_t> jobs_;  ///< resident job ids, one entry each
+  std::vector<Word> masks_;         ///< words() per entry of jobs_
   std::int64_t free_ = 0;
 };
 
@@ -145,6 +166,29 @@ struct Placement {
 /// Occupancy tracker over a machine's midplane grid.
 class MidplaneGrid {
  public:
+  using Word = OwnerArray::Word;
+
+  /// Every anchored placement of one canonical shape, in scan order: the
+  /// axis permutations of the ascending extent in std::next_permutation
+  /// order (those fitting the grid), each at every origin row-major. A
+  /// placement whose cells repeat an earlier one's (an origin off zero
+  /// along an axis the cuboid spans fully) is dropped: no scan could pick
+  /// it over the earlier one. Each placement carries three masks of
+  /// words() words over the grid's row-major cells: its cells; halo1, the
+  /// outside cells face-adjacent to it; and halo2, the halo cells adjacent
+  /// from both sides, which exist along an axis exactly one wider than the
+  /// extent and count twice in the boundary contact.
+  struct ShapeScan {
+    struct Entry {
+      std::uint32_t origin = 0;  ///< row-major cell index of the origin
+      std::uint32_t extent = 0;  ///< index into extents
+    };
+    std::vector<std::array<std::int64_t, 4>> extents;
+    std::vector<Entry> entries;
+    std::vector<Word> cells;  ///< words() per entry
+    std::vector<Word> halos;  ///< 2 * words() per entry: halo1, halo2
+  };
+
   explicit MidplaneGrid(bgq::Machine machine);
 
   const bgq::Machine& machine() const { return machine_; }
@@ -164,24 +208,40 @@ class MidplaneGrid {
   /// Finds a free anchored placement whose canonical shape is `shape`,
   /// scanning every axis permutation and origin; nullopt when none fits.
   /// kScanOrder returns the first fit. kBestFit returns the fit with the
-  /// highest boundary contact — the count of face-adjacent neighbor cells
-  /// (outside the placement, wrap-around included) already occupied —
-  /// taking the first in scan order on ties. Packing new cuboids against
-  /// existing ones leaves the free space in fewer, larger chunks.
+  /// highest boundary contact — the count of (placement cell, direction)
+  /// pairs whose face-adjacent neighbor outside the placement (wrap-around
+  /// included) is occupied — taking the first in scan order on ties.
+  /// Packing new cuboids against existing ones leaves the free space in
+  /// fewer, larger chunks.
   std::optional<Placement> find_placement(const bgq::Geometry& shape,
                                           PositionScoring scoring) const;
 
+  /// The memoized scan of `shape`, built on first use. The reference stays
+  /// valid for the grid's lifetime.
+  const ShapeScan& shape_scan(const bgq::Geometry& shape) const;
+
+  /// Index into scan.entries of the placement find_placement picks, or
+  /// nullopt when none fits.
+  std::optional<std::size_t> find_in(const ShapeScan& scan,
+                                     PositionScoring scoring) const;
+
+  /// The placement of scan entry `index`.
+  Placement placement(const ShapeScan& scan, std::size_t index) const;
+
+  /// Marks the cells of scan entry `index` (a free placement, as find_in
+  /// returns) as owned by `job_id`.
+  void occupy(const ShapeScan& scan, std::size_t index, std::int64_t job_id);
+
  private:
-  std::size_t cell_index(const std::array<std::int64_t, 4>& cell) const;
-  template <typename Fn>
-  void for_each_cell(const Placement& placement, Fn&& fn) const;
-  /// Occupied neighbor count just outside the placement (the best-fit
-  /// position score).
-  std::int64_t boundary_contact(const Placement& placement) const;
+  /// Sets the placement's cells in `mask` (words() zeroed words).
+  void cell_mask(const Placement& placement, Word* mask) const;
+  ShapeScan build_scan(const std::array<std::int64_t, 4>& ascending) const;
 
   bgq::Machine machine_;
   std::array<std::int64_t, 4> dims_;
-  OwnerArray owners_;  // one slot per midplane, row-major over dims_
+  OwnerArray owners_;  // one bit per midplane, row-major over dims_
+  /// Scans keyed by ascending extent; node-based, so references stay put.
+  mutable std::map<std::array<std::int64_t, 4>, ShapeScan> scans_;
 };
 
 // ---------------------------------------------------------------------------
@@ -285,16 +345,22 @@ class CuboidAllocator final : public PartitionAllocator {
   }
 
  private:
-  const std::vector<bgq::Geometry>& geometries_for(std::int64_t size) const;
+  /// The layout classes of one size: the oracle's geometries, their
+  /// qualities, and each class's shape scan once try_place first needs it.
+  struct SizeClasses {
+    std::shared_ptr<const std::vector<bgq::Geometry>> geometries;
+    std::vector<double> qualities;
+    std::vector<const MidplaneGrid::ShapeScan*> scans;
+  };
+  SizeClasses& classes_for(std::int64_t size) const;
 
   const PartitionOracle* oracle_;
   MidplaneGrid grid_;
-  /// Per-size enumeration memo: pure in (machine shape, size), so caching
-  /// inside the allocator never changes a schedule, only its cost. Holds
-  /// the oracle's shared_ptr, so a memoized oracle costs one refcount per
-  /// distinct size here, not a vector copy.
-  mutable std::map<std::int64_t, std::shared_ptr<const std::vector<bgq::Geometry>>>
-      enumerations_;
+  /// Per-size memo, the one lookup of a try_place: pure in (machine shape,
+  /// size), so caching inside the allocator never changes a schedule, only
+  /// its cost. Holds the oracle's shared_ptr, so a memoized oracle costs one
+  /// refcount per distinct size here, not a vector copy.
+  mutable std::map<std::int64_t, SizeClasses> classes_;
 };
 
 /// Dragonfly family: allocation units are chassis (columns of K_a routers).

@@ -13,12 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "sweep/cache.hpp"
+#include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/trace.hpp"
 
@@ -175,6 +181,235 @@ TEST(CuboidAllocatorTest, PlaceAndReleaseTrackUnits) {
   EXPECT_EQ(allocator.free_units(), 88);
   EXPECT_EQ(allocator.release(3), 8);
   EXPECT_EQ(allocator.free_units(), 96);
+}
+
+// -------------------------------------------------------------------------
+// The mask scan against the per-cell scan it replaced. ReferenceGrid is the
+// pre-bitmask MidplaneGrid::find_placement over a plain occupancy vector: a
+// modulo `fits` walk per origin and a per-(cell, direction)
+// boundary_contact count. It is kept as an oracle, not a replica.
+// -------------------------------------------------------------------------
+
+struct ReferenceGrid {
+  std::array<std::int64_t, 4> dims;
+  std::vector<bool> occupied;  // row-major over dims
+
+  std::size_t index(const std::array<std::int64_t, 4>& cell) const {
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      at = at * static_cast<std::size_t>(dims[i]) +
+           static_cast<std::size_t>(cell[i]);
+    }
+    return at;
+  }
+
+  bool fits(const Placement& placement) const {
+    std::array<std::int64_t, 4> offset{};
+    for (offset[0] = 0; offset[0] < placement.extent[0]; ++offset[0]) {
+      for (offset[1] = 0; offset[1] < placement.extent[1]; ++offset[1]) {
+        for (offset[2] = 0; offset[2] < placement.extent[2]; ++offset[2]) {
+          for (offset[3] = 0; offset[3] < placement.extent[3]; ++offset[3]) {
+            std::array<std::int64_t, 4> cell{};
+            for (std::size_t i = 0; i < 4; ++i) {
+              cell[i] = (placement.origin[i] + offset[i]) % dims[i];
+            }
+            if (occupied[index(cell)]) return false;
+          }
+        }
+      }
+    }
+    return true;
+  }
+
+  std::int64_t boundary_contact(const Placement& placement) const {
+    std::int64_t contact = 0;
+    std::array<std::int64_t, 4> offset{};
+    for (offset[0] = 0; offset[0] < placement.extent[0]; ++offset[0]) {
+      for (offset[1] = 0; offset[1] < placement.extent[1]; ++offset[1]) {
+        for (offset[2] = 0; offset[2] < placement.extent[2]; ++offset[2]) {
+          for (offset[3] = 0; offset[3] < placement.extent[3]; ++offset[3]) {
+            for (std::size_t dim = 0; dim < 4; ++dim) {
+              if (placement.extent[dim] == dims[dim]) continue;
+              for (const std::int64_t step : {std::int64_t{-1}, std::int64_t{1}}) {
+                const std::int64_t neighbor = offset[dim] + step;
+                if (neighbor >= 0 && neighbor < placement.extent[dim]) continue;
+                std::array<std::int64_t, 4> cell{};
+                for (std::size_t i = 0; i < 4; ++i) {
+                  cell[i] = (placement.origin[i] + offset[i]) % dims[i];
+                }
+                cell[dim] = (placement.origin[dim] + neighbor % dims[dim] +
+                             dims[dim]) %
+                            dims[dim];
+                if (occupied[index(cell)]) ++contact;
+              }
+            }
+          }
+        }
+      }
+    }
+    return contact;
+  }
+
+  std::optional<Placement> find_placement(const bgq::Geometry& shape,
+                                          PositionScoring scoring) const {
+    std::optional<Placement> best;
+    std::int64_t best_contact = -1;
+    std::array<std::int64_t, 4> extent = shape.dims();
+    std::sort(extent.begin(), extent.end());
+    do {
+      bool extent_fits = true;
+      for (std::size_t i = 0; i < 4; ++i) {
+        if (extent[i] > dims[i]) extent_fits = false;
+      }
+      if (!extent_fits) continue;
+      Placement placement;
+      placement.extent = extent;
+      for (std::int64_t a = 0; a < dims[0]; ++a) {
+        for (std::int64_t b = 0; b < dims[1]; ++b) {
+          for (std::int64_t c = 0; c < dims[2]; ++c) {
+            for (std::int64_t d = 0; d < dims[3]; ++d) {
+              placement.origin = {a, b, c, d};
+              if (!fits(placement)) continue;
+              if (scoring == PositionScoring::kScanOrder) return placement;
+              const std::int64_t contact = boundary_contact(placement);
+              if (contact > best_contact) {
+                best_contact = contact;
+                best = placement;
+              }
+            }
+          }
+        }
+      }
+    } while (std::next_permutation(extent.begin(), extent.end()));
+    return best;
+  }
+};
+
+TEST(MidplaneGridMaskTest, FindPlacementMatchesPerCellScan) {
+  // JUQUEEN, Mira and Sequoia fill one, two and three occupancy words;
+  // 3x3x2x2 (like Mira's 2-wide axis) has axes one wider than an extent,
+  // where both face neighbors are the same cell and count twice.
+  const bgq::Machine machines[] = {
+      bgq::juqueen(), bgq::mira(), bgq::sequoia(),
+      {"torus:3x3x2x2", bgq::Geometry(3, 3, 2, 2)}};
+  std::int64_t stream = 0;
+  for (const bgq::Machine& machine : machines) {
+    std::vector<bgq::Geometry> shapes;
+    for (const std::int64_t size : bgq::feasible_sizes(machine)) {
+      for (const bgq::Geometry& shape : bgq::enumerate_geometries(machine, size)) {
+        shapes.push_back(shape);
+      }
+    }
+    for (int trial = 0; trial < 6; ++trial, ++stream) {
+      std::mt19937_64 rng(sweep::task_seed(2020, stream));
+      // Densities from empty to nearly full across the trials.
+      const double density = 0.15 * trial;
+      MidplaneGrid grid(machine);
+      ReferenceGrid reference{machine.shape.dims(),
+                              std::vector<bool>(
+                                  static_cast<std::size_t>(machine.midplanes()))};
+      std::uniform_real_distribution<double> coin(0.0, 1.0);
+      std::int64_t job = 0;
+      for (std::int64_t a = 0; a < reference.dims[0]; ++a) {
+        for (std::int64_t b = 0; b < reference.dims[1]; ++b) {
+          for (std::int64_t c = 0; c < reference.dims[2]; ++c) {
+            for (std::int64_t d = 0; d < reference.dims[3]; ++d) {
+              if (coin(rng) >= density) continue;
+              Placement cell;
+              cell.origin = {a, b, c, d};
+              grid.occupy(cell, job++);
+              reference.occupied[reference.index(cell.origin)] = true;
+            }
+          }
+        }
+      }
+      for (const bgq::Geometry& shape : shapes) {
+        for (const PositionScoring scoring :
+             {PositionScoring::kScanOrder, PositionScoring::kBestFit}) {
+          const auto got = grid.find_placement(shape, scoring);
+          const auto want = reference.find_placement(shape, scoring);
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << machine.name << " trial " << trial << " " << shape.to_string()
+              << " " << to_string(scoring);
+          if (!want) continue;
+          EXPECT_EQ(got->origin, want->origin)
+              << machine.name << " trial " << trial << " " << shape.to_string()
+              << " " << to_string(scoring);
+          EXPECT_EQ(got->extent, want->extent)
+              << machine.name << " trial " << trial << " " << shape.to_string()
+              << " " << to_string(scoring);
+        }
+      }
+    }
+  }
+}
+
+// -------------------------------------------------------------------------
+// The unit ledger: word-boundary masks, idempotent release, rollback.
+// -------------------------------------------------------------------------
+
+TEST(OwnerArrayTest, UnknownOrReleasedJobFreesNothing) {
+  OwnerArray owners(96);
+  owners.take(5, 1);
+  owners.take(6, 1);
+  EXPECT_EQ(owners.release(2), 0);  // never held anything
+  EXPECT_EQ(owners.free_units(), 94);
+  EXPECT_EQ(owners.release(1), 2);
+  EXPECT_EQ(owners.free_units(), 96);
+  EXPECT_EQ(owners.release(1), 0);  // already released
+  EXPECT_EQ(owners.free_units(), 96);
+  EXPECT_TRUE(owners.is_free(5));
+}
+
+TEST(OwnerArrayTest, MasksStraddlingWordBoundariesReleaseExactly) {
+  OwnerArray owners(192);  // Sequoia: three words
+  ASSERT_EQ(owners.words(), 3u);
+  for (const std::size_t unit : {63, 64, 127, 128}) owners.take(unit, 7);
+  for (const std::size_t unit : {62, 65, 126, 129, 191}) owners.take(unit, 8);
+  std::vector<OwnerArray::Word> mask(3, 0);
+  mask[0] = OwnerArray::Word{1};        // unit 0
+  mask[2] = OwnerArray::Word{1} << 62;  // unit 190
+  owners.take(mask.data(), 9);
+  EXPECT_EQ(owners.free_units(), 192 - 11);
+
+  EXPECT_EQ(owners.release(7), 4);
+  for (const std::size_t unit : {63, 64, 127, 128}) EXPECT_TRUE(owners.is_free(unit));
+  for (const std::size_t unit : {62, 65, 126, 129, 191, 0, 190}) {
+    EXPECT_FALSE(owners.is_free(unit)) << unit;
+  }
+  EXPECT_EQ(owners.free_units(), 192 - 7);
+  EXPECT_EQ(owners.release(9), 2);
+  EXPECT_EQ(owners.release(8), 5);
+  EXPECT_EQ(owners.free_units(), 192);
+  for (std::size_t w = 0; w < owners.words(); ++w) {
+    EXPECT_EQ(owners.occupied()[w], 0u);
+  }
+}
+
+TEST(CuboidAllocatorTest, TakeReleaseTakeReproducesThePlacement) {
+  // The EASY backfill probe: a tentative place and its release restore the
+  // ledger bit-exactly, so the same request lands on the same cuboid.
+  for (const PositionScoring scoring :
+       {PositionScoring::kScanOrder, PositionScoring::kBestFit}) {
+    CuboidAllocator allocator(bgq::sequoia());
+    allocator.set_position_scoring(scoring);
+    std::int64_t job = 0;
+    for (const std::int64_t size : {8, 3, 16, 1, 12, 2}) {
+      ASSERT_TRUE(allocator.try_place(size, 0, job++).has_value());
+    }
+    ASSERT_TRUE(allocator.release(2) == 16);  // open a hole mid-machine
+    for (const std::int64_t size : {4, 6, 9, 1}) {
+      const std::int64_t before = allocator.free_units();
+      const auto first = allocator.try_place(size, 0, 100);
+      ASSERT_TRUE(first.has_value()) << size;
+      EXPECT_EQ(allocator.release(100), size);
+      EXPECT_EQ(allocator.free_units(), before);
+      const auto again = allocator.try_place(size, 0, 100);
+      ASSERT_TRUE(again.has_value()) << size;
+      EXPECT_EQ(again->label, first->label) << to_string(scoring);
+      EXPECT_EQ(allocator.release(100), size);
+    }
+  }
 }
 
 // -------------------------------------------------------------------------
@@ -346,6 +581,102 @@ TEST(FatTreeAllocatorTest, FragmentationForcesMultiPodBlocks) {
   allocator.release(50);
   for (std::int64_t p = 0; p < 8; ++p) allocator.release(p);
   EXPECT_EQ(allocator.free_units(), 32);
+}
+
+// -------------------------------------------------------------------------
+// Group and pod ledgers: per-container free counts under churn.
+// -------------------------------------------------------------------------
+
+/// The container ids a dragonfly/fat-tree label lists after "@{".
+std::vector<std::int64_t> label_containers(const std::string& label) {
+  std::vector<std::int64_t> ids;
+  std::istringstream list(label.substr(label.find("@{") + 2));
+  for (std::string id; std::getline(list, id, ',');) {
+    ids.push_back(std::stoll(id));
+  }
+  return ids;
+}
+
+/// Churns `allocator` with seeded place/release steps, tracking each
+/// container's free units from the partition labels, and after every step
+/// checks the ledger against that model: for each count s, the scan-order
+/// single-container class (`one_container(s)`) takes exactly the first
+/// container with s free units, or fails when none has them, and its
+/// release restores the ledger.
+template <typename OneContainerClass>
+void expect_container_ledger(PartitionAllocator& allocator,
+                             std::int64_t container_size,
+                             OneContainerClass one_container) {
+  const std::int64_t containers = allocator.total_units() / container_size;
+  std::vector<std::int64_t> free(static_cast<std::size_t>(containers),
+                                 container_size);
+  std::vector<std::pair<std::int64_t, std::vector<std::int64_t>>> live;
+  std::vector<std::int64_t> per_block;  // by live index
+  const auto sizes = feasible_unit_sizes(allocator);
+  std::mt19937_64 rng(sweep::task_seed(7, containers));
+  for (std::int64_t job = 0; job < 60; ++job) {
+    const std::int64_t size = sizes[rng() % sizes.size()];
+    const auto classes = allocator.candidate_qualities(size);
+    const auto placed =
+        allocator.try_place(size, rng() % classes.size(), job);
+    if (placed) {
+      const auto ids = label_containers(placed->label);
+      for (const std::int64_t c : ids) {
+        free[static_cast<std::size_t>(c)] -=
+            size / static_cast<std::int64_t>(ids.size());
+      }
+      live.emplace_back(job, ids);
+      per_block.push_back(size / static_cast<std::int64_t>(ids.size()));
+    }
+    if (!live.empty() && (!placed || rng() % 3 == 0)) {
+      const std::size_t victim = rng() % live.size();
+      for (const std::int64_t c : live[victim].second) {
+        free[static_cast<std::size_t>(c)] += per_block[victim];
+      }
+      EXPECT_EQ(allocator.release(live[victim].first),
+                per_block[victim] *
+                    static_cast<std::int64_t>(live[victim].second.size()));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      per_block.erase(per_block.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    std::int64_t total_free = 0;
+    for (const std::int64_t f : free) total_free += f;
+    ASSERT_EQ(allocator.free_units(), total_free) << "after job " << job;
+    for (std::int64_t want = 1; want <= container_size; ++want) {
+      const auto first = std::find_if(free.begin(), free.end(),
+                                      [want](std::int64_t f) { return f >= want; });
+      const auto probe = allocator.try_place(want, one_container(want), 1000);
+      if (first == free.end()) {
+        EXPECT_FALSE(probe.has_value()) << "after job " << job;
+        continue;
+      }
+      ASSERT_TRUE(probe.has_value()) << "after job " << job;
+      EXPECT_EQ(label_containers(probe->label),
+                std::vector<std::int64_t>{first - free.begin()})
+          << "after job " << job << ": " << probe->label;
+      EXPECT_EQ(allocator.release(1000), want);
+    }
+  }
+}
+
+TEST(ContainerLedgerTest, DragonflyGroupsKeepExactFreeCounts) {
+  DragonflyAllocator allocator(small_dragonfly());
+  expect_container_ledger(allocator, allocator.config().h, [&](std::int64_t s) {
+    const auto& layouts = allocator.layouts_for(s);
+    for (std::size_t k = 0; k < layouts.size(); ++k) {
+      if (layouts[k].groups == 1) return k;
+    }
+    throw std::logic_error("no single-group layout");
+  });
+}
+
+TEST(ContainerLedgerTest, FatTreePodsKeepExactFreeCounts) {
+  FatTreeAllocator allocator({8, 1.0});
+  expect_container_ledger(allocator, 4, [&](std::int64_t s) {
+    const auto pods = allocator.pods_for(s);
+    return static_cast<std::size_t>(
+        std::find(pods.begin(), pods.end(), 1) - pods.begin());
+  });
 }
 
 // -------------------------------------------------------------------------
