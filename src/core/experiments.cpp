@@ -45,8 +45,16 @@ simnet::PingPongResult ExperimentEngine::pingpong(
 PairingComparison ExperimentEngine::pairing(
     const bgq::Geometry& baseline, const bgq::Geometry& proposed,
     const simnet::PingPongConfig& config) {
-  return make_pairing(baseline, proposed, pingpong(baseline, config),
-                      pingpong(proposed, config));
+  PairingComparison cmp;
+  cmp.midplanes = baseline.midplanes();
+  cmp.baseline = baseline;
+  cmp.proposed = proposed;
+  cmp.baseline_result = pingpong(baseline, config);
+  cmp.proposed_result = pingpong(proposed, config);
+  cmp.speedup = cmp.baseline_result.measured_seconds /
+                cmp.proposed_result.measured_seconds;
+  cmp.predicted_speedup = bgq::predicted_speedup(baseline, proposed);
+  return cmp;
 }
 
 double ExperimentEngine::caps_comm_seconds(const bgq::Geometry& geometry,
@@ -94,32 +102,8 @@ bgq::Geometry require_best(ExperimentEngine& engine,
   return *best;
 }
 
-}  // namespace
-
-double caps_comm_seconds(const bgq::Geometry& geometry,
-                         const strassen::CapsParams& params) {
-  const simnet::TorusNetwork network(geometry.node_torus());
-  const simmpi::RankMap map(params.ranks, network.torus().num_vertices());
-  const simmpi::Communicator comm(&network, map);
-  return strassen::simulate_caps_communication(comm, params);
-}
-
-PairingComparison make_pairing(const bgq::Geometry& baseline,
-                               const bgq::Geometry& proposed,
-                               const simnet::PingPongResult& baseline_result,
-                               const simnet::PingPongResult& proposed_result) {
-  PairingComparison cmp;
-  cmp.midplanes = baseline.midplanes();
-  cmp.baseline = baseline;
-  cmp.proposed = proposed;
-  cmp.baseline_result = baseline_result;
-  cmp.proposed_result = proposed_result;
-  cmp.speedup = cmp.baseline_result.measured_seconds /
-                cmp.proposed_result.measured_seconds;
-  cmp.predicted_speedup = bgq::predicted_speedup(baseline, proposed);
-  return cmp;
-}
-
+/// One Table 6 row from a scheduler entry and the engine's
+/// propose_improvement result for it.
 MiraRow make_mira_row(const bgq::PolicyEntry& entry,
                       std::optional<bgq::Geometry> proposed) {
   MiraRow row;
@@ -131,6 +115,16 @@ MiraRow make_mira_row(const bgq::PolicyEntry& entry,
   row.proposed_bw =
       row.proposed ? bgq::normalized_bisection(*row.proposed) : row.current_bw;
   return row;
+}
+
+}  // namespace
+
+double caps_comm_seconds(const bgq::Geometry& geometry,
+                         const strassen::CapsParams& params) {
+  const simnet::TorusNetwork network(geometry.node_torus());
+  const simmpi::RankMap map(params.ranks, network.torus().num_vertices());
+  const simmpi::Communicator comm(&network, map);
+  return strassen::simulate_caps_communication(comm, params);
 }
 
 std::vector<MiraRow> mira_rows(ExperimentEngine* engine) {

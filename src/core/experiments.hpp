@@ -29,7 +29,7 @@ namespace npac::core {
 struct PairingComparison;
 
 /// Backend for the experiment drivers below. The base class computes
-/// everything directly and serially; sweep::SweepEngine overrides each hook
+/// everything directly and serially; sweep::SweepEngine overrides the hooks
 /// with a memoized, thread-pooled implementation, so one code path serves
 /// both the plain API and the parallel bench/test harness. Overrides must
 /// return exactly what the base implementation would (pure functions of the
@@ -57,7 +57,8 @@ class ExperimentEngine {
   virtual simnet::PingPongResult pingpong(const bgq::Geometry& geometry,
                                           const simnet::PingPongConfig& config);
   /// The Experiment A row: the same ping-pong run on both geometries plus
-  /// the measured and predicted speedups (see make_pairing).
+  /// the measured and predicted speedups. Both runs go through pingpong(),
+  /// so an engine that memoizes pingpong() routes each geometry once.
   virtual PairingComparison pairing(const bgq::Geometry& baseline,
                                     const bgq::Geometry& proposed,
                                     const simnet::PingPongConfig& config);
@@ -103,12 +104,6 @@ struct MiraRow {
 
 /// Table 6 (all scheduler sizes) / Figure 1 (same data as a series).
 std::vector<MiraRow> mira_rows(ExperimentEngine* engine = nullptr);
-
-/// One Table 6 row from a scheduler entry and the (possibly memoized)
-/// propose_improvement result for it — shared with the sweep engine so the
-/// "proposed_bw == current_bw when !proposed" convention lives in one place.
-MiraRow make_mira_row(const bgq::PolicyEntry& entry,
-                      std::optional<bgq::Geometry> proposed);
 
 /// Table 1: the subset of mira_rows() where the bisection improves.
 std::vector<MiraRow> table1_rows(ExperimentEngine* engine = nullptr);
@@ -220,14 +215,6 @@ struct PairingComparison {
   /// proposed_bw / baseline_bw — the prediction the measurement validates.
   double predicted_speedup = 1.0;
 };
-
-/// Assembles the Experiment A row from its two measurements; midplanes is
-/// taken from the baseline geometry. Shared with the sweep engine so the
-/// speedup conventions live in one place.
-PairingComparison make_pairing(const bgq::Geometry& baseline,
-                               const bgq::Geometry& proposed,
-                               const simnet::PingPongResult& baseline_result,
-                               const simnet::PingPongResult& proposed_result);
 
 /// Figure 3: Mira, 4/8/16/24 midplanes, current vs proposed.
 std::vector<PairingComparison> fig3_mira_pairing(

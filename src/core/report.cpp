@@ -48,20 +48,6 @@ std::string TextTable::render() const {
   return out.str();
 }
 
-std::string TextTable::to_csv() const {
-  std::ostringstream out;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << cells[c];
-      if (c + 1 < cells.size()) out << ',';
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string format_double(double value, int precision) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(precision) << value;

@@ -1,4 +1,4 @@
-// Plain-text table and CSV rendering for experiment outputs.
+// Plain-text table rendering for experiment outputs.
 //
 // Every bench binary prints the same rows the paper's tables and figures
 // report; this module keeps that formatting in one place so outputs stay
@@ -22,9 +22,6 @@ class TextTable {
 
   /// Renders with padded columns, a header underline, and two-space gutters.
   std::string render() const;
-
-  /// Comma-separated rendering (no alignment padding).
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -97,134 +97,4 @@ std::vector<simnet::Flow> Communicator::rank_messages(
   return flows;
 }
 
-std::vector<std::vector<simnet::Flow>> Communicator::broadcast_phases(
-    double bytes) const {
-  const std::int64_t p = map_.num_ranks();
-  std::vector<std::vector<simnet::Flow>> phases;
-  for (std::int64_t stride = 1; stride < p; stride *= 2) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = 0; r < stride && r + stride < p; ++r) {
-      messages.push_back({r, r + stride, bytes});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::allreduce_phases(
-    double bytes) const {
-  const std::int64_t p = map_.num_ranks();
-  std::int64_t p2 = 1;
-  while (p2 * 2 <= p) p2 *= 2;
-  std::vector<std::vector<simnet::Flow>> phases;
-
-  // Fold-in: ranks >= p2 send their contribution to rank - p2.
-  if (p2 < p) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = p2; r < p; ++r) {
-      messages.push_back({r, r - p2, bytes});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  // Recursive doubling among the first p2 ranks.
-  for (std::int64_t stride = 1; stride < p2; stride *= 2) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = 0; r < p2; ++r) {
-      messages.push_back({r, r ^ stride, bytes});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  // Fold-out: results returned to ranks >= p2.
-  if (p2 < p) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = p2; r < p; ++r) {
-      messages.push_back({r - p2, r, bytes});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::scatter_phases(
-    double bytes) const {
-  const std::int64_t p = map_.num_ranks();
-  std::vector<std::vector<simnet::Flow>> phases;
-  // Largest power of two covering p.
-  std::int64_t stride = 1;
-  while (stride < p) stride *= 2;
-  for (stride /= 2; stride >= 1; stride /= 2) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = 0; r < p; r += 2 * stride) {
-      const std::int64_t peer = r + stride;
-      if (peer >= p) continue;
-      // r forwards the chunks of peer's whole subtree [peer, peer+stride).
-      const std::int64_t subtree =
-          std::min<std::int64_t>(stride, p - peer);
-      messages.push_back({r, peer, bytes * static_cast<double>(subtree)});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::gather_phases(
-    double bytes) const {
-  auto phases = scatter_phases(bytes);
-  std::reverse(phases.begin(), phases.end());
-  for (auto& phase : phases) {
-    for (simnet::Flow& flow : phase) std::swap(flow.src, flow.dst);
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::reduce_scatter_phases(
-    double bytes) const {
-  const std::int64_t p = map_.num_ranks();
-  if ((p & (p - 1)) != 0) {
-    throw std::invalid_argument(
-        "reduce_scatter_phases: rank count must be a power of two");
-  }
-  std::vector<std::vector<simnet::Flow>> phases;
-  double payload = bytes / 2.0;
-  for (std::int64_t stride = p / 2; stride >= 1; stride /= 2) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = 0; r < p; ++r) {
-      messages.push_back({r, r ^ stride, payload});
-    }
-    phases.push_back(rank_messages(messages));
-    payload /= 2.0;
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::pairwise_alltoall_phases(
-    double bytes_per_peer) const {
-  const std::int64_t p = map_.num_ranks();
-  std::vector<std::vector<simnet::Flow>> phases;
-  for (std::int64_t k = 1; k < p; ++k) {
-    std::vector<RankMessage> messages;
-    for (std::int64_t r = 0; r < p; ++r) {
-      messages.push_back({r, (r + k) % p, bytes_per_peer});
-    }
-    phases.push_back(rank_messages(messages));
-  }
-  return phases;
-}
-
-std::vector<std::vector<simnet::Flow>> Communicator::ring_allgather_phases(
-    double bytes) const {
-  const std::int64_t p = map_.num_ranks();
-  std::vector<std::vector<simnet::Flow>> phases;
-  if (p < 2) return phases;
-  std::vector<RankMessage> messages;
-  for (std::int64_t r = 0; r < p; ++r) {
-    messages.push_back({r, (r + 1) % p, bytes});
-  }
-  const auto flows = rank_messages(messages);
-  for (std::int64_t step = 0; step + 1 < p; ++step) {
-    phases.push_back(flows);
-  }
-  return phases;
-}
-
 }  // namespace npac::simmpi

@@ -5,7 +5,7 @@
 // node-level flows (intra-node traffic is free, as on real Blue Gene/Q
 // where ranks on one node share memory), routed by the flow simulator, and
 // timed under the max-congestion fluid model. A Timeline accumulates phase
-// costs so multi-phase algorithms (CAPS BFS steps, collectives) report a
+// costs so multi-phase algorithms (CAPS BFS steps, N-body rounds) report a
 // total communication time the way an MPI profiler would.
 #pragma once
 
@@ -67,39 +67,6 @@ class Communicator {
   };
   std::vector<simnet::Flow> rank_messages(
       const std::vector<RankMessage>& messages) const;
-
-  /// Binomial-tree broadcast of `bytes` from rank 0 to all ranks; returns
-  /// the flow sets of each tree level (levels are sequential phases).
-  std::vector<std::vector<simnet::Flow>> broadcast_phases(double bytes) const;
-
-  /// Recursive-doubling allreduce of `bytes` (size() must be a power of 2
-  /// for the textbook schedule; other sizes use the next-lower power with a
-  /// fold-in pre/post phase).
-  std::vector<std::vector<simnet::Flow>> allreduce_phases(double bytes) const;
-
-  /// Ring allgather of `bytes` contributed per rank: size()-1 steps.
-  std::vector<std::vector<simnet::Flow>> ring_allgather_phases(
-      double bytes) const;
-
-  /// Binomial-tree scatter from rank 0: at level i the senders forward the
-  /// chunks of the whole subtree they hand off, so payloads shrink as the
-  /// tree descends. `bytes` is the per-rank chunk size.
-  std::vector<std::vector<simnet::Flow>> scatter_phases(double bytes) const;
-
-  /// Binomial-tree gather to rank 0 (the scatter schedule reversed).
-  std::vector<std::vector<simnet::Flow>> gather_phases(double bytes) const;
-
-  /// Recursive-halving reduce-scatter of a `bytes`-sized buffer: log2(p)
-  /// phases, each exchanging half the remaining data with a partner at
-  /// stride p/2, p/4, ... size() must be a power of two.
-  std::vector<std::vector<simnet::Flow>> reduce_scatter_phases(
-      double bytes) const;
-
-  /// Pairwise-exchange all-to-all: size()-1 phases; in phase k every rank
-  /// r sends `bytes_per_peer` to rank (r + k) mod size(). The grouped
-  /// all-to-all used by CAPS aggregates exactly these phases.
-  std::vector<std::vector<simnet::Flow>> pairwise_alltoall_phases(
-      double bytes_per_peer) const;
 
  private:
   const simnet::Network* network_;

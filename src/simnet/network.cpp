@@ -87,12 +87,6 @@ Network::Network(NetworkOptions options) : options_(options) {
 
 LinkLoads Network::make_loads() const { return LinkLoads(num_channels()); }
 
-LinkLoads Network::route_all(std::span<const Flow> flows) const {
-  LinkLoads total = make_loads();
-  for (const Flow& flow : flows) route_flow(flow, total);
-  return total;
-}
-
 double Network::channel_seconds(const LinkLoads& loads) const {
   return loads.max_load() / options_.link_bytes_per_second;
 }

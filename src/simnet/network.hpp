@@ -116,7 +116,7 @@ class Network {
 
   /// Routes every flow and returns the accumulated loads. Results are
   /// deterministic: independent of thread count and scheduling.
-  virtual LinkLoads route_all(std::span<const Flow> flows) const;
+  virtual LinkLoads route_all(std::span<const Flow> flows) const = 0;
 
   /// Completion time of a set of flows that start simultaneously:
   /// max-channel-time, floored by the injection cap when one is configured.

@@ -3,7 +3,6 @@
 #include <numeric>
 #include <algorithm>
 #include <random>
-#include <stdexcept>
 
 namespace npac::simnet {
 
@@ -113,28 +112,6 @@ std::vector<Flow> nearest_neighbor_halo(const topo::Graph& graph,
   for (topo::VertexId v = 0; v < graph.num_vertices(); ++v) {
     for (const topo::Arc& arc : graph.neighbors(v)) {
       flows.push_back({v, arc.to, bytes});
-    }
-  }
-  return flows;
-}
-
-std::vector<Flow> block_all_to_all(topo::VertexId first, std::int64_t count,
-                                   double total_bytes_per_source) {
-  if (count < 0) {
-    throw std::invalid_argument("block_all_to_all: negative count");
-  }
-  if (count < 2) return {};
-  const double per_pair =
-      total_bytes_per_source / static_cast<double>(count - 1);
-  // Splitting the inner loop at u removes the u != v test from the body;
-  // the exact reserve keeps push_back from ever reallocating.
-  std::vector<Flow> flows;
-  flows.reserve(static_cast<std::size_t>(count) *
-                static_cast<std::size_t>(count - 1));
-  for (topo::VertexId u = first; u < first + count; ++u) {
-    for (topo::VertexId v = first; v < u; ++v) flows.push_back({u, v, per_pair});
-    for (topo::VertexId v = u + 1; v < first + count; ++v) {
-      flows.push_back({u, v, per_pair});
     }
   }
   return flows;

@@ -51,11 +51,4 @@ std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,
 std::vector<Flow> nearest_neighbor_halo(const topo::Graph& graph,
                                         double bytes);
 
-/// Uniform all-to-all restricted to a contiguous block of node ids
-/// [first, first + count): the building block for the CAPS BFS-step
-/// redistribution. Each ordered pair in the block carries
-/// `total_bytes_per_source / (count - 1)`.
-std::vector<Flow> block_all_to_all(topo::VertexId first, std::int64_t count,
-                                   double total_bytes_per_source);
-
 }  // namespace npac::simnet

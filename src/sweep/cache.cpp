@@ -64,25 +64,6 @@ std::shared_ptr<const std::vector<std::int64_t>> SweepContext::feasible_sizes(
       machine.shape, [&] { return bgq::feasible_sizes(machine); });
 }
 
-core::PairingComparison SweepContext::pairing(
-    const bgq::Geometry& baseline, const bgq::Geometry& proposed,
-    const simnet::PingPongConfig& config) {
-  PairingKey key;
-  key.baseline = baseline.dims();
-  key.proposed = proposed.dims();
-  key.total_rounds = config.total_rounds;
-  key.warmup_rounds = config.warmup_rounds;
-  key.bytes_per_round = config.bytes_per_round;
-  key.chunks_per_round = config.chunks_per_round;
-  return *pairings_.get_or_compute(key, [&] {
-    // Both runs go through the per-geometry routing cache, so a geometry
-    // shared by several pairs (or also passed to pingpong()) is routed once.
-    return core::make_pairing(baseline, proposed,
-                              pingpong(baseline, config, {}),
-                              pingpong(proposed, config, {}));
-  });
-}
-
 double SweepContext::caps_comm_seconds(const bgq::Geometry& geometry,
                                        const strassen::CapsParams& params) {
   CapsKey key;
@@ -124,7 +105,6 @@ std::vector<SweepContext::NamedStats> SweepContext::all_stats() const {
       named_stats("bounds", bounds_),
       named_stats("routing", routing_),
       named_stats("feasible", feasible_),
-      named_stats("pairings", pairings_),
       named_stats("caps", caps_),
       named_stats("topologies", topologies_),
       named_stats("topology_routing", topology_routing_),
@@ -148,7 +128,6 @@ void SweepContext::clear() {
   geometries_.clear();
   routing_.clear();
   feasible_.clear();
-  pairings_.clear();
   caps_.clear();
   topologies_.clear();
   topology_routing_.clear();

@@ -52,19 +52,6 @@ struct CacheStats {
   std::uint64_t lookups() const { return hits + misses; }
 };
 
-/// Cache key for one Experiment A pairing row: the two geometries plus the
-/// ping-pong protocol. Default <=> over the scalar fields.
-struct PairingKey {
-  std::array<std::int64_t, 4> baseline{1, 1, 1, 1};
-  std::array<std::int64_t, 4> proposed{1, 1, 1, 1};
-  int total_rounds = 0;
-  int warmup_rounds = 0;
-  double bytes_per_round = 0.0;
-  int chunks_per_round = 0;
-
-  auto operator<=>(const PairingKey&) const = default;
-};
-
 /// Cache key for one simulated CAPS communication run (blocked rank map).
 struct CapsKey {
   std::array<std::int64_t, 4> geometry{1, 1, 1, 1};
@@ -183,12 +170,6 @@ class SweepContext {
   std::shared_ptr<const std::vector<std::int64_t>> feasible_sizes(
       const bgq::Machine& machine);
 
-  /// The Experiment A row for a geometry pair (core::make_pairing over two
-  /// cached ping-pong runs), keyed by (baseline, proposed, protocol).
-  core::PairingComparison pairing(const bgq::Geometry& baseline,
-                                  const bgq::Geometry& proposed,
-                                  const simnet::PingPongConfig& config);
-
   /// core::caps_comm_seconds — one simulated CAPS communication run, the
   /// cost driver of Figures 5-6.
   double caps_comm_seconds(const bgq::Geometry& geometry,
@@ -205,7 +186,6 @@ class SweepContext {
   CacheStats geometry_stats() const { return geometries_.stats(); }
   CacheStats routing_stats() const { return routing_.stats(); }
   CacheStats feasible_stats() const { return feasible_.stats(); }
-  CacheStats pairing_stats() const { return pairings_.stats(); }
   CacheStats caps_stats() const { return caps_.stats(); }
   CacheStats topology_stats() const { return topologies_.stats(); }
   CacheStats topology_routing_stats() const {
@@ -235,7 +215,6 @@ class SweepContext {
       geometries_;
   MemoCache<RoutingKey, simnet::PingPongResult> routing_;
   MemoCache<bgq::Geometry, std::vector<std::int64_t>> feasible_;
-  MemoCache<PairingKey, core::PairingComparison> pairings_;
   MemoCache<CapsKey, double> caps_;
   MemoCache<std::string, core::TopologyBisection> topologies_;
   MemoCache<std::pair<std::string, double>, double> topology_routing_;

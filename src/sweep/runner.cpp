@@ -196,22 +196,6 @@ std::string grid_csv(const BenchGrid& grid,
   return out.str();
 }
 
-BenchGrid rows_grid(
-    std::vector<std::string> columns,
-    std::vector<std::function<std::vector<std::string>(std::uint64_t)>>
-        row_fns,
-    bool timed) {
-  BenchGrid grid;
-  grid.columns = std::move(columns);
-  grid.rows = static_cast<std::int64_t>(row_fns.size());
-  grid.timed = timed;
-  grid.cells = [row_fns = std::move(row_fns)](std::int64_t i,
-                                              std::uint64_t seed) {
-    return row_fns[static_cast<std::size_t>(i)](seed);
-  };
-  return grid;
-}
-
 // --------------------------------------------------------------------------
 // Canonical grids
 // --------------------------------------------------------------------------

@@ -13,12 +13,17 @@
 //   --list             print each row's index and label without running
 //   --filter=SUBSTR    run only rows whose label contains SUBSTR (also
 //                      accepted as `--filter SUBSTR`), so a single grid row
-//                      can be rerun in isolation; filtered-out rows are
-//                      never computed, and surviving rows keep their
-//                      original per-row seeds, so their cells are
-//                      byte-identical to a full run; a filter matching no
-//                      row in any grid is an error (the available labels
-//                      are printed and the driver exits nonzero)
+//                      can be rerun in isolation; filtered-out rows'
+//                      cells are never called, and surviving rows keep
+//                      their original per-row seeds, so their cells are
+//                      byte-identical to a full run. Only grids whose
+//                      cells do the work (such as ext_topologies and
+//                      ext_kernels) skip computation this way: every
+//                      figure and table driver builds its grid from rows
+//                      computed before Runner::run, so there the filter
+//                      only trims output. A filter matching no row in
+//                      any grid is an error (the available labels are
+//                      printed and the driver exits nonzero)
 //   --metrics-out=PATH write an obs::Registry metrics snapshot (counters,
 //                      gauges, histograms, cache stats) as JSON at exit
 //   --trace-out=PATH   write a Chrome trace_event JSON trace (load it in
@@ -54,11 +59,12 @@
 namespace npac::sweep {
 
 /// core::ExperimentEngine backend on the sweep machinery: sub-results are
-/// memoized in a SweepContext and row loops fan out on a ThreadPool. Every
-/// hook returns exactly what the serial engine would (cached values are
-/// pure functions of their keys; parallel_for writes are index-addressed),
-/// so driving an experiment through this engine changes its cost, never its
-/// output.
+/// memoized in a SweepContext and row loops fan out on a ThreadPool.
+/// pairing() is inherited: its two pingpong() calls hit the routing cache,
+/// so no geometry is routed twice. Every hook returns exactly what the
+/// serial engine would (cached values are pure functions of their keys;
+/// parallel_for writes are index-addressed), so driving an experiment
+/// through this engine changes its cost, never its output.
 class SweepEngine final : public core::ExperimentEngine {
  public:
   /// Both referents must outlive the engine.
@@ -84,11 +90,6 @@ class SweepEngine final : public core::ExperimentEngine {
   simnet::PingPongResult pingpong(const bgq::Geometry& geometry,
                                   const simnet::PingPongConfig& config) override {
     return context_->pingpong(geometry, config, {});
-  }
-  core::PairingComparison pairing(const bgq::Geometry& baseline,
-                                  const bgq::Geometry& proposed,
-                                  const simnet::PingPongConfig& config) override {
-    return context_->pairing(baseline, proposed, config);
   }
   double caps_comm_seconds(const bgq::Geometry& geometry,
                            const strassen::CapsParams& params) override {
@@ -174,14 +175,6 @@ std::string row_label(const BenchGrid& grid, std::int64_t row);
 /// filter is empty), in row order.
 std::vector<std::int64_t> select_rows(const BenchGrid& grid,
                                       const std::string& filter);
-
-/// Grid over an explicit list of row functions — the micro-bench shape:
-/// one lambda per row, each a pure function of its per-row task seed.
-BenchGrid rows_grid(
-    std::vector<std::string> columns,
-    std::vector<std::function<std::vector<std::string>(std::uint64_t)>>
-        row_fns,
-    bool timed);
 
 /// Computes rows on the pool, in index order regardless of scheduling.
 /// When `selection` is non-null only those row indices are computed (each

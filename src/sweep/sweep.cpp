@@ -77,21 +77,6 @@ std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
       });
 }
 
-core::TextTable topology_scheduler_table(
-    const std::vector<TopologySchedulerRow>& rows) {
-  core::TextTable table({"Machine", "Policy", "Contention", "Rep",
-                         "Makespan (s)", "Mean slowdown", "Mean wait (s)"});
-  for (const TopologySchedulerRow& row : rows) {
-    table.add_row({row.machine, core::to_string(row.policy),
-                   core::format_double(row.contention_fraction, 2),
-                   core::format_int(row.replication),
-                   core::format_double(row.makespan_seconds, 1),
-                   "x" + core::format_double(row.mean_slowdown, 3),
-                   core::format_double(row.mean_wait_seconds, 1)});
-  }
-  return table;
-}
-
 core::TextTable topology_scheduler_summary(
     const std::vector<TopologySchedulerRow>& rows) {
   struct Cell {

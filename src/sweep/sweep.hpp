@@ -80,9 +80,6 @@ std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
     const TopologySchedulerGrid& grid, const SweepOptions& options,
     SweepContext& context);
 
-core::TextTable topology_scheduler_table(
-    const std::vector<TopologySchedulerRow>& rows);
-
 /// Replication means, one row per (machine, policy, fraction) in
 /// first-seen order.
 core::TextTable topology_scheduler_summary(

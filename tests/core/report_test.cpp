@@ -34,12 +34,6 @@ TEST(TextTableTest, ColumnsAreAligned) {
   EXPECT_GE(first_line_end, std::string("long-cell-value  b").size());
 }
 
-TEST(TextTableTest, CsvOutput) {
-  TextTable table({"x", "y"});
-  table.add_row({"1", "2"});
-  EXPECT_EQ(table.to_csv(), "x,y\n1,2\n");
-}
-
 TEST(TextTableTest, RejectsMismatchedRow) {
   TextTable table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);

@@ -1,5 +1,5 @@
 // Simulated-MPI tests: phase timing, node aggregation of rank messages,
-// grouped all-to-all (the CAPS building block), and collective schedules.
+// and the grouped all-to-all (the CAPS building block).
 #include "simmpi/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -108,54 +108,6 @@ TEST(CommunicatorTest, GroupsNeverCrossGroupBoundaries) {
   const auto flows = comm.alltoall_in_groups(4, 1.0);
   for (const auto& flow : flows) {
     EXPECT_EQ(flow.src / 4, flow.dst / 4) << flow.src << " -> " << flow.dst;
-  }
-}
-
-TEST(CommunicatorTest, BroadcastPhaseCountIsLogP) {
-  const auto net = unit_network({8});
-  const Communicator comm(&net, RankMap(8, 8));
-  EXPECT_EQ(comm.broadcast_phases(4.0).size(), 3u);
-  const auto net16 = unit_network({16});
-  const Communicator comm16(&net16, RankMap(16, 16));
-  EXPECT_EQ(comm16.broadcast_phases(4.0).size(), 4u);
-}
-
-TEST(CommunicatorTest, BroadcastReachesAllRanks) {
-  const auto net = unit_network({8});
-  const Communicator comm(&net, RankMap(8, 8));
-  std::vector<bool> reached(8, false);
-  reached[0] = true;
-  for (const auto& phase : comm.broadcast_phases(1.0)) {
-    for (const auto& flow : phase) {
-      EXPECT_TRUE(reached[static_cast<std::size_t>(flow.src)])
-          << "sender " << flow.src << " not yet reached";
-      reached[static_cast<std::size_t>(flow.dst)] = true;
-    }
-  }
-  for (std::size_t r = 0; r < 8; ++r) EXPECT_TRUE(reached[r]) << r;
-}
-
-TEST(CommunicatorTest, AllreducePowerOfTwoPhases) {
-  const auto net = unit_network({8});
-  const Communicator comm(&net, RankMap(8, 8));
-  // Pure recursive doubling: log2(8) = 3 phases.
-  EXPECT_EQ(comm.allreduce_phases(1.0).size(), 3u);
-}
-
-TEST(CommunicatorTest, AllreduceNonPowerOfTwoAddsFoldPhases) {
-  const auto net = unit_network({6});
-  const Communicator comm(&net, RankMap(6, 6));
-  // p2 = 4: fold-in + 2 doubling + fold-out.
-  EXPECT_EQ(comm.allreduce_phases(1.0).size(), 4u);
-}
-
-TEST(CommunicatorTest, RingAllgatherHasPMinusOnePhases) {
-  const auto net = unit_network({6});
-  const Communicator comm(&net, RankMap(6, 6));
-  const auto phases = comm.ring_allgather_phases(1.0);
-  EXPECT_EQ(phases.size(), 5u);
-  for (const auto& phase : phases) {
-    EXPECT_EQ(phase.size(), 6u);  // every node forwards to its successor
   }
 }
 

@@ -109,23 +109,5 @@ TEST(HaloTest, LengthTwoDimSendsOnce) {
   EXPECT_EQ(flows.size(), 2u);  // one per node
 }
 
-TEST(BlockAllToAllTest, RestrictedToBlock) {
-  const auto flows = block_all_to_all(4, 3, 6.0);
-  EXPECT_EQ(flows.size(), 3u * 2u);
-  for (const Flow& flow : flows) {
-    EXPECT_GE(flow.src, 4);
-    EXPECT_LT(flow.src, 7);
-    EXPECT_GE(flow.dst, 4);
-    EXPECT_LT(flow.dst, 7);
-    EXPECT_DOUBLE_EQ(flow.bytes, 3.0);
-  }
-}
-
-TEST(BlockAllToAllTest, DegenerateBlocks) {
-  EXPECT_TRUE(block_all_to_all(0, 1, 5.0).empty());
-  EXPECT_TRUE(block_all_to_all(0, 0, 5.0).empty());
-  EXPECT_THROW(block_all_to_all(0, -1, 5.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace npac::simnet

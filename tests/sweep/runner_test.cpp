@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -88,6 +89,15 @@ TEST(RunnerGridTest, CsvRendersHeaderAndRows) {
   };
   ThreadPool pool(1);
   EXPECT_EQ(grid_csv(grid, run_grid(grid, pool, 0)), "A,B\n0,x\n1,x\n");
+  // RFC 4180: cells holding a comma, quote or newline are quoted, with
+  // embedded quotes doubled.
+  grid.columns = {"P,Q", "B"};
+  grid.rows = 1;
+  grid.cells = [](std::int64_t, std::uint64_t) {
+    return std::vector<std::string>{"say \"hi\"", "a\nb"};
+  };
+  EXPECT_EQ(grid_csv(grid, run_grid(grid, pool, 0)),
+            "\"P,Q\",B\n\"say \"\"hi\"\"\",\"a\nb\"\n");
 }
 
 TEST(SweepEngineTest, MatchesSerialEngineOnAnalyticalTables) {
@@ -130,6 +140,18 @@ TEST(SweepEngineTest, PairingAndCapsMatchSerialExactly) {
               serial_rows[i].baseline_result.measured_seconds);
     EXPECT_EQ(sweep_rows[i].speedup, serial_rows[i].speedup);
   }
+  // pairing() composes two pingpong() calls on the routing cache, so each
+  // distinct geometry across the rows is routed exactly once.
+  std::set<bgq::Geometry> geometries;
+  for (const auto& row : sweep_rows) {
+    geometries.insert(row.baseline);
+    geometries.insert(row.proposed);
+  }
+  CacheStats routing;
+  for (const auto& cache : context.all_stats()) {
+    if (std::string(cache.name) == "routing") routing = cache.stats;
+  }
+  EXPECT_EQ(routing.misses, geometries.size());
 
   // CAPS memoization returns exactly the direct simulation (small rank
   // count keeps this fast; the full Figure 5/6 pipelines are exercised at

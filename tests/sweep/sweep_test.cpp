@@ -132,10 +132,13 @@ TEST(SweepTablesTest, RenderWithoutSurprises) {
   const TopologySchedulerGrid grid = small_grid();
   SweepContext context;
   const auto rows = run_topology_scheduler_sweep(grid, {}, context);
-  EXPECT_EQ(topology_scheduler_table(rows).num_rows(), rows.size());
-  // Summary collapses replications: one row per (machine, policy, fraction).
-  EXPECT_EQ(topology_scheduler_summary(rows).num_rows(),
+  // Summary collapses replications: one row per (machine, policy, fraction),
+  // each averaging `replications` of the sweep's rows.
+  const auto summary = topology_scheduler_summary(rows);
+  EXPECT_EQ(summary.num_rows(),
             grid.policies.size() * grid.contention_fractions.size());
+  EXPECT_EQ(summary.num_rows() * static_cast<std::size_t>(grid.replications),
+            rows.size());
 }
 
 }  // namespace
