@@ -4,8 +4,8 @@
 // flow-level contention simulator.
 //
 // Runs on the src/sweep bench runner: the per-size pairing rows fan across
-// the thread pool and are memoized by geometry pair (--threads N, --seed S,
-// --csv PATH).
+// the thread pool, and each geometry's ping-pong run is memoized
+// (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

@@ -2,10 +2,9 @@
 // Mira, current vs proposed partitions, at the Table 3 configurations.
 //
 // Runs on the src/sweep bench runner: the per-size CAPS simulations fan
-// across the thread pool and are memoized per (geometry, params). The
-// 24-midplane point routes ~1.5e8 node-level flows per phase; pass --fast
-// to skip it (the 4/8/16 points carry the figure's story). Also --threads,
-// --seed, --csv.
+// across the thread pool. The 24-midplane point routes ~1.5e8 node-level
+// flows per phase; pass --fast to skip it (the 4/8/16 points carry the
+// figure's story). Also --threads, --seed, --csv.
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

@@ -3,8 +3,7 @@
 // perfectly scaling algorithm look like it stops scaling.
 //
 // Runs on the src/sweep bench runner (--threads N, --seed S, --csv PATH);
-// CAPS runs are memoized, so the 2-midplane point (current == proposed)
-// is simulated once.
+// the 2-midplane point (current == proposed) is simulated once.
 #include "core/report.hpp"
 #include "sweep/runner.hpp"
 

@@ -3,7 +3,7 @@
 // (best-case partitions everywhere).
 //
 // Runs on the src/sweep bench runner: per-size rows fan across the thread
-// pool and the per-machine enumerations and size lists are memoized
+// pool and the per-machine geometry enumerations are memoized
 // (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 

@@ -2,8 +2,8 @@
 // and the proposed machines JUQUEEN-54 and JUQUEEN-48, with geometries.
 //
 // Runs on the src/sweep bench runner: per-size rows fan across the thread
-// pool, the enumeration and size-list caches are shared with Figure 7
-// (--threads N, --seed S, --csv PATH).
+// pool and share the memoized geometry enumerations (--threads N, --seed S,
+// --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

@@ -39,7 +39,7 @@ int main() {
   sweep::SweepContext context;
   sweep::ThreadPool pool(4);
   pool.run_indexed(16, [&](std::int64_t i) {
-    context.enumerate_geometries(bgq::mira(), 2 * (1 + i % 8));
+    context.geometries(bgq::mira(), 2 * (1 + i % 8));
   });
   context.publish_metrics(registry);
 

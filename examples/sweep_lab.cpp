@@ -6,12 +6,13 @@
 //     subsystem guarantees;
 //  2. the memo layer's effect (cache statistics from the shared context);
 //  3. a workload trace serialized, parsed back, and replayed exactly;
-//  4. fluid-model ping-pong measurements paired with the Theorem 3.1
-//     isoperimetric bound, both through the shared context's caches.
+//  4. fluid-model ping-pong measurements (through the shared context's
+//     routing cache) paired with the Theorem 3.1 isoperimetric bound.
 #include <chrono>
 #include <cstdio>
 
 #include "core/report.hpp"
+#include "iso/torus_bound.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -88,11 +89,10 @@ int main() {
   const auto trace = sweep::generate_trace(bgq::mira(), trace_config, 7);
   const std::string serialized = sweep::format_trace(trace);
   const auto replayed = sweep::parse_trace(serialized);
-  const sweep::CachedPartitionOracle oracle(&context_sequential);
-  core::CuboidAllocator direct_allocator(bgq::mira(), oracle);
+  core::CuboidAllocator direct_allocator(bgq::mira(), context_sequential);
   const auto direct = core::simulate_schedule(
       direct_allocator, core::SchedulerPolicy::kBestBisection, trace);
-  core::CuboidAllocator roundtrip_allocator(bgq::mira(), oracle);
+  core::CuboidAllocator roundtrip_allocator(bgq::mira(), context_sequential);
   const auto roundtrip = core::simulate_schedule(
       roundtrip_allocator, core::SchedulerPolicy::kBestBisection, replayed);
   std::printf(
@@ -112,8 +112,8 @@ int main() {
   for (const bgq::Geometry& geometry :
        {bgq::Geometry(2, 2, 1, 1), bgq::Geometry(4, 1, 1, 1)}) {
     const double iso_bound_cut =
-        context_sequential
-            .torus_bound(geometry.node_dims(), geometry.nodes() / 2)
+        iso::torus_isoperimetric_lower_bound(geometry.node_dims(),
+                                             geometry.nodes() / 2)
             .value;
     for (const simnet::TieBreak tie_break :
          {simnet::TieBreak::kSplit, simnet::TieBreak::kPositive}) {

@@ -28,7 +28,7 @@
 // The torus scan tests precomputed cuboid masks against those words
 // (MidplaneGrid::ShapeScan). Expensive layout scoring goes through a
 // PartitionOracle so sweeps can memoize it per machine descriptor
-// (sweep::CachedPartitionOracle).
+// (sweep::SweepContext).
 #pragma once
 
 #include <array>

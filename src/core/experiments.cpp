@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/allocator.hpp"
@@ -24,17 +25,22 @@ std::shared_ptr<const std::vector<std::int64_t>> ExperimentEngine::feasible_size
 
 std::optional<bgq::Geometry> ExperimentEngine::best_geometry(
     const bgq::Machine& machine, std::int64_t midplanes) {
-  return bgq::best_geometry(machine, midplanes);
+  const auto all = partition_oracle().geometries(machine, midplanes);
+  if (all->empty()) return std::nullopt;
+  return all->front();
 }
 
 std::optional<bgq::Geometry> ExperimentEngine::worst_geometry(
     const bgq::Machine& machine, std::int64_t midplanes) {
-  return bgq::worst_geometry(machine, midplanes);
+  const auto all = partition_oracle().geometries(machine, midplanes);
+  if (all->empty()) return std::nullopt;
+  return all->back();
 }
 
 std::optional<bgq::Geometry> ExperimentEngine::propose_improvement(
     const bgq::Machine& machine, const bgq::Geometry& current) {
-  return bgq::propose_improvement(machine, current);
+  return bgq::propose_improvement_given_best(
+      machine, current, best_geometry(machine, current.midplanes()));
 }
 
 simnet::PingPongResult ExperimentEngine::pingpong(
@@ -64,7 +70,7 @@ double ExperimentEngine::caps_comm_seconds(const bgq::Geometry& geometry,
 
 TopologyBisection ExperimentEngine::topology_bisection(
     const topo::TopologySpec& spec) {
-  return core::topology_bisection(spec);
+  return partition_oracle().bisection(spec);
 }
 
 double ExperimentEngine::topology_pairing_seconds(
@@ -361,74 +367,32 @@ std::vector<PairingComparison> fig4_juqueen_pairing(
   return result;
 }
 
-std::vector<MatmulComparison> fig5_matmul(bool include_24_midplanes,
-                                          int bfs_steps,
-                                          ExperimentEngine* engine) {
-  ExperimentEngine& e = resolve(engine);
+namespace {
+
+/// One Figure 5/6 size: the CAPS problem and the paper's measured
+/// computation time (geometry-independent).
+struct CapsCase {
+  std::int64_t midplanes;
+  std::int64_t ranks;
+  std::int64_t n;
+  double computation_seconds;
+};
+
+/// The Figure 5/6 loop: each size's Mira scheduler-list geometry against
+/// its best geometry, both priced by a simulated CAPS run. `Point` is
+/// MatmulComparison or ScalingPoint, which share these fields.
+template <typename Point>
+std::vector<Point> caps_points(const char* figure,
+                               const std::vector<CapsCase>& cases,
+                               int bfs_steps, ExperimentEngine& e) {
   const bgq::Machine machine = bgq::mira();
-  // Computation seconds the paper measured (geometry-independent).
-  struct Case {
-    std::int64_t midplanes;
-    std::int64_t ranks;
-    std::int64_t n;
-    double computation_seconds;
-  };
-  std::vector<Case> cases = {
-      {4, 31213, 32928, 0.554},
-      {8, 31213, 32928, 0.5115},
-      {16, 31213, 32928, 0.4965},
-  };
-  if (include_24_midplanes) cases.push_back({24, 117649, 21952, 0.0604});
-
-  const auto current_entry = bgq::mira_scheduler_partitions();
-  std::vector<MatmulComparison> result(cases.size());
-  e.parallel_for(static_cast<std::int64_t>(cases.size()), [&](std::int64_t i) {
-    const Case& c = cases[static_cast<std::size_t>(i)];
-    MatmulComparison cmp;
-    cmp.midplanes = c.midplanes;
-    cmp.params = {c.n, c.ranks, bfs_steps};
-    cmp.paper_computation_seconds = c.computation_seconds;
-
-    const auto it =
-        std::find_if(current_entry.begin(), current_entry.end(),
-                     [&](const bgq::PolicyEntry& entry) {
-                       return entry.midplanes == c.midplanes;
-                     });
-    if (it == current_entry.end()) {
-      throw std::logic_error("fig5: size missing from Mira scheduler list");
-    }
-    cmp.current = it->geometry;
-    cmp.proposed = require_best(e, machine, c.midplanes);
-    cmp.current_comm_seconds = e.caps_comm_seconds(cmp.current, cmp.params);
-    cmp.proposed_comm_seconds = e.caps_comm_seconds(cmp.proposed, cmp.params);
-    cmp.comm_speedup = cmp.current_comm_seconds / cmp.proposed_comm_seconds;
-    result[static_cast<std::size_t>(i)] = cmp;
-  });
-  return result;
-}
-
-std::vector<ScalingPoint> fig6_strong_scaling(int bfs_steps,
-                                              ExperimentEngine* engine) {
-  ExperimentEngine& e = resolve(engine);
-  const bgq::Machine machine = bgq::mira();
-  struct Case {
-    std::int64_t midplanes;
-    std::int64_t ranks;
-    double computation_seconds;
-  };
-  const std::vector<Case> cases = {
-      {2, 2401, 9.84e-2},
-      {4, 4802, 4.21e-2},
-      {8, 9604, 2.98e-2},
-  };
-
   const auto list = bgq::mira_scheduler_partitions();
-  std::vector<ScalingPoint> result(cases.size());
+  std::vector<Point> result(cases.size());
   e.parallel_for(static_cast<std::int64_t>(cases.size()), [&](std::int64_t i) {
-    const Case& c = cases[static_cast<std::size_t>(i)];
-    ScalingPoint point;
+    const CapsCase& c = cases[static_cast<std::size_t>(i)];
+    Point point;
     point.midplanes = c.midplanes;
-    point.params = {9408, c.ranks, bfs_steps};
+    point.params = {c.n, c.ranks, bfs_steps};
     point.paper_computation_seconds = c.computation_seconds;
 
     const auto it = std::find_if(list.begin(), list.end(),
@@ -436,17 +400,52 @@ std::vector<ScalingPoint> fig6_strong_scaling(int bfs_steps,
                                    return entry.midplanes == c.midplanes;
                                  });
     if (it == list.end()) {
-      throw std::logic_error("fig6: size missing from Mira scheduler list");
+      throw std::logic_error(std::string(figure) +
+                             ": size missing from Mira scheduler list");
     }
     point.current = it->geometry;
     point.proposed = require_best(e, machine, c.midplanes);
     point.current_comm_seconds =
         e.caps_comm_seconds(point.current, point.params);
+    // Where only one geometry fits (Figure 6's 2-midplane point) the
+    // current run already priced the proposed one.
     point.proposed_comm_seconds =
-        e.caps_comm_seconds(point.proposed, point.params);
+        point.proposed == point.current
+            ? point.current_comm_seconds
+            : e.caps_comm_seconds(point.proposed, point.params);
     result[static_cast<std::size_t>(i)] = point;
   });
   return result;
+}
+
+}  // namespace
+
+std::vector<MatmulComparison> fig5_matmul(bool include_24_midplanes,
+                                          int bfs_steps,
+                                          ExperimentEngine* engine) {
+  std::vector<CapsCase> cases = {
+      {4, 31213, 32928, 0.554},
+      {8, 31213, 32928, 0.5115},
+      {16, 31213, 32928, 0.4965},
+  };
+  if (include_24_midplanes) cases.push_back({24, 117649, 21952, 0.0604});
+  auto result = caps_points<MatmulComparison>("fig5", cases, bfs_steps,
+                                              resolve(engine));
+  for (MatmulComparison& cmp : result) {
+    cmp.comm_speedup = cmp.current_comm_seconds / cmp.proposed_comm_seconds;
+  }
+  return result;
+}
+
+std::vector<ScalingPoint> fig6_strong_scaling(int bfs_steps,
+                                              ExperimentEngine* engine) {
+  return caps_points<ScalingPoint>("fig6",
+                                   {
+                                       {2, 2401, 9408, 9.84e-2},
+                                       {4, 4802, 9408, 4.21e-2},
+                                       {8, 9604, 9408, 2.98e-2},
+                                   },
+                                   bfs_steps, resolve(engine));
 }
 
 }  // namespace npac::core

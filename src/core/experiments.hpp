@@ -29,12 +29,14 @@ namespace npac::core {
 struct PairingComparison;
 
 /// Backend for the experiment drivers below. The base class computes
-/// everything directly and serially; sweep::SweepEngine overrides the hooks
-/// with a memoized, thread-pooled implementation, so one code path serves
-/// both the plain API and the parallel bench/test harness. Overrides must
-/// return exactly what the base implementation would (pure functions of the
-/// arguments) — the drivers' outputs are asserted byte-identical across
-/// engines and thread counts.
+/// everything serially; its geometry and bisection hooks read
+/// partition_oracle(), so an engine that supplies a memoizing oracle
+/// shares those tables with its allocators. sweep::SweepEngine overrides
+/// only pingpong (memoized), partition_oracle and parallel_for (pooled),
+/// so one code path serves both the plain API and the parallel bench/test
+/// harness. Overrides must return exactly what the base implementation
+/// would (pure functions of the arguments) — the drivers' outputs are
+/// asserted byte-identical across engines and thread counts.
 class ExperimentEngine {
  public:
   virtual ~ExperimentEngine() = default;
@@ -44,13 +46,13 @@ class ExperimentEngine {
   /// per machine, per replication); never null, immutable.
   virtual std::shared_ptr<const std::vector<std::int64_t>> feasible_sizes(
       const bgq::Machine& machine);
-  /// bgq::best_geometry.
+  /// bgq::best_geometry: the front of partition_oracle().geometries().
   virtual std::optional<bgq::Geometry> best_geometry(const bgq::Machine& machine,
                                                      std::int64_t midplanes);
-  /// bgq::worst_geometry.
+  /// bgq::worst_geometry: the back of partition_oracle().geometries().
   virtual std::optional<bgq::Geometry> worst_geometry(
       const bgq::Machine& machine, std::int64_t midplanes);
-  /// bgq::propose_improvement.
+  /// bgq::propose_improvement, given best_geometry().
   virtual std::optional<bgq::Geometry> propose_improvement(
       const bgq::Machine& machine, const bgq::Geometry& current);
   /// simnet::run_pingpong on a partition geometry (default NetworkOptions).
@@ -66,17 +68,17 @@ class ExperimentEngine {
   virtual double caps_comm_seconds(const bgq::Geometry& geometry,
                                    const strassen::CapsParams& params);
   /// core::topology_bisection — graph-backed bisection where the cuboid
-  /// search does not apply (memoized per topology descriptor by the sweep
-  /// engine).
+  /// search does not apply, through partition_oracle().bisection().
   virtual TopologyBisection topology_bisection(const topo::TopologySpec& spec);
   /// core::topology_pairing_seconds — furthest-pairing contention time on
   /// the topology's preferred Network backend.
   virtual double topology_pairing_seconds(const topo::TopologySpec& spec,
                                           double bytes_per_pair);
-  /// The PartitionOracle scheduler/advisor queries running through this
-  /// engine should use, so allocator layout scoring (geometry enumerations,
-  /// sub-network bisections) shares the engine's memoization. The base
-  /// engine returns the process-wide uncached oracle.
+  /// The PartitionOracle behind the geometry and bisection hooks, and the
+  /// one scheduler/advisor queries running through this engine should use,
+  /// so allocator layout scoring (geometry enumerations, sub-network
+  /// bisections) shares the engine's memoization. The base engine returns
+  /// the process-wide uncached oracle.
   virtual const PartitionOracle& partition_oracle();
   /// Runs fn(i) for i in [0, n); the base class loops serially in index
   /// order, pooled engines fan out. Row writes must be index-addressed.
@@ -245,7 +247,7 @@ struct MatmulComparison {
 
 /// Simulated CAPS communication time of `params` on one geometry, with
 /// ranks placed by the default blocked RankMap — the quantity Figures 5-6
-/// compare across geometries (and the sweep engine memoizes).
+/// compare across geometries.
 double caps_comm_seconds(const bgq::Geometry& geometry,
                          const strassen::CapsParams& params);
 

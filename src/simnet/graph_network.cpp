@@ -28,11 +28,6 @@ void note_scratch_bytes(std::size_t bytes) {
   }
 }
 
-/// Process-unique GraphNetwork ids (never reused, never zero), so a
-/// thread's cached overlay can be keyed on (network id, dst) without any
-/// risk of an address-reuse collision.
-std::atomic<std::uint64_t> g_next_routing_id{1};
-
 }  // namespace
 
 /// Per-thread routing arena: every buffer route_group needs, reused across
@@ -42,7 +37,7 @@ std::atomic<std::uint64_t> g_next_routing_id{1};
 /// below run entirely inside them, which is what lets those kernels carry
 /// the NPAC_HOT allocation-free contract.
 struct RoutingScratch {
-  /// BFS state for the cached destination. Entries are 32-bit on purpose:
+  /// BFS state for the current destination. Entries are 32-bit on purpose:
   /// Graph::from_edges rejects vertex counts beyond int32, and the
   /// narrower arrays keep a per-destination rebuild L1-resident on the
   /// graph sizes routing sweeps actually run.
@@ -55,7 +50,7 @@ struct RoutingScratch {
   std::vector<std::uint32_t> level_offsets;
   std::vector<std::uint32_t> level_cursor;
   std::vector<std::int32_t> level_vertices;
-  /// Advancing-arc overlay for the cached destination: arc indices whose
+  /// Advancing-arc overlay for the current destination: arc indices whose
   /// head is one level closer to dst, in adjacency order per vertex — the
   /// dense list propagate_levels walks instead of re-testing
   /// dist[arc.to] == d - 1 per arc (heads come from the graph's dense
@@ -66,11 +61,6 @@ struct RoutingScratch {
   std::vector<std::uint32_t> adv_begin;
   std::vector<std::uint32_t> adv_end;
   std::vector<std::uint32_t> adv_arcs;
-  /// Identity of the cached BFS tree + overlay: (network id, destination).
-  /// id 0 means nothing is cached yet.
-  std::uint64_t overlay_id = 0;
-  topo::VertexId overlay_dst = -1;
-  std::int32_t max_dist = 0;  ///< eccentricity of overlay_dst
 
   /// Grows every buffer to the graph's dimensions (cold; no-op after the
   /// first call at a given high-water size).
@@ -146,9 +136,8 @@ RouteAllScratch& route_all_scratch() {
 }
 
 topo::BfsScratch& path_hops_scratch() {
-  // Deliberately not the routing arena: path_hops runs a BFS from the
-  // flow's *source*, which would clobber the dist array the arena's cached
-  // destination overlay is built over.
+  // Not the routing arena: path_hops runs topo's BFS from the flow's
+  // *source*, which keeps its state in a topo::BfsScratch.
   static thread_local topo::BfsScratch scratch;
   return scratch;
 }
@@ -299,9 +288,7 @@ NPAC_HOT void propagate_levels(TieBreak tie_break,
 }  // namespace
 
 GraphNetwork::GraphNetwork(topo::Graph graph, NetworkOptions options)
-    : Network(options),
-      graph_(std::move(graph)),
-      routing_id_(g_next_routing_id.fetch_add(1, std::memory_order_relaxed)) {
+    : Network(options), graph_(std::move(graph)) {
   if (graph_.num_vertices() < 1) {
     throw std::invalid_argument("GraphNetwork: empty graph");
   }
@@ -323,25 +310,19 @@ void GraphNetwork::validate_flow(const Flow& flow) const {
   }
 }
 
-bool GraphNetwork::route_group(topo::VertexId dst,
+void GraphNetwork::route_group(topo::VertexId dst,
                                std::span<const GroupFlow> flows,
                                double* loads, RoutingScratch& scratch) const {
   const std::size_t n = static_cast<std::size_t>(graph_.num_vertices());
-  bool rebuilt = false;
-  if (scratch.overlay_id != routing_id_ || scratch.overlay_dst != dst) {
-    scratch.prepare(graph_);
-    scratch.max_dist = bfs_overlay_kernel(
-        graph_.arc_offsets().data(), graph_.arc_heads().data(), n, dst,
-        scratch.dist.data(), scratch.frontier.data(), scratch.reached,
-        scratch.adv_begin.data(), scratch.adv_end.data(),
-        scratch.adv_arcs.data());
-    build_levels(scratch.dist.data(), n, scratch.max_dist,
-                 scratch.level_offsets.data(), scratch.level_cursor.data(),
-                 scratch.level_vertices.data());
-    scratch.overlay_id = routing_id_;
-    scratch.overlay_dst = dst;
-    rebuilt = true;
-  }
+  scratch.prepare(graph_);
+  const std::int32_t max_dist = bfs_overlay_kernel(
+      graph_.arc_offsets().data(), graph_.arc_heads().data(), n, dst,
+      scratch.dist.data(), scratch.frontier.data(), scratch.reached,
+      scratch.adv_begin.data(), scratch.adv_end.data(),
+      scratch.adv_arcs.data());
+  build_levels(scratch.dist.data(), n, max_dist,
+               scratch.level_offsets.data(), scratch.level_cursor.data(),
+               scratch.level_vertices.data());
 
   const std::int32_t* const dist = scratch.dist.data();
   double* const weight = scratch.weight.data();
@@ -364,7 +345,6 @@ bool GraphNetwork::route_group(topo::VertexId dst,
                      scratch.adv_arcs.data(), graph_.arc_heads().data(),
                      weight, loads);
   }
-  return rebuilt;
 }
 
 void GraphNetwork::route_flow(const Flow& flow, LinkLoads& loads) const {
@@ -437,7 +417,6 @@ LinkLoads GraphNetwork::route_all(std::span<const Flow> flows) const {
   constexpr std::size_t kGroupsPerChunk = 16;
   const std::size_t num_chunks =
       (num_groups + kGroupsPerChunk - 1) / kGroupsPerChunk;
-  std::atomic<std::uint64_t> chunk_rebuild_sum{0};
   route_chunks(num_chunks, total.raw(), call.partials,
                [&](std::size_t chunk, double* loads) {
     const std::size_t first_group = chunk * kGroupsPerChunk;
@@ -455,29 +434,22 @@ LinkLoads GraphNetwork::route_all(std::span<const Flow> flows) const {
                    "net");
     }
     RoutingScratch& scratch = routing_scratch();
-    std::uint64_t chunk_rebuilds = 0;
     for (std::size_t g = first_group; g < last_group; ++g) {
-      chunk_rebuilds += route_group(groups[g].dst,
-                                    {sorted + groups[g].first, groups[g].count},
-                                    loads, scratch);
+      route_group(groups[g].dst, {sorted + groups[g].first, groups[g].count},
+                  loads, scratch);
     }
-    chunk_rebuild_sum.fetch_add(chunk_rebuilds, std::memory_order_relaxed);
   });
-  const std::uint64_t rebuilds = chunk_rebuild_sum.load();
-  const std::uint64_t reuses = num_groups - rebuilds;
 
   note_scratch_bytes(call.bytes());
 
-  // Flushed once per call; a BFS (and overlay build) now only happens on a
-  // rebuild, so arcs touched scales as rebuilds x num_arcs.
+  // Flushed once per call: one BFS (and overlay build) per destination
+  // group, each scanning every arc.
   if (obs::Registry* const registry = obs::Registry::current()) {
     registry->counter("net.graph.route_all").add(1);
     registry->counter("net.graph.flows").add(count);
-    registry->counter("net.graph.bfs_invocations").add(rebuilds);
+    registry->counter("net.graph.bfs_invocations").add(num_groups);
     registry->counter("net.graph.arcs_touched")
-        .add(rebuilds * static_cast<std::uint64_t>(graph_.num_arcs()));
-    registry->counter("net.graph.overlay.rebuilds").add(rebuilds);
-    registry->counter("net.graph.overlay.reuses").add(reuses);
+        .add(num_groups * static_cast<std::uint64_t>(graph_.num_arcs()));
     registry->gauge("net.graph.scratch.bytes")
         .set(static_cast<double>(
             g_scratch_high_water.load(std::memory_order_relaxed)));

@@ -80,12 +80,10 @@ class GraphNetwork final : public Network {
  private:
   /// Routes every flow of one destination group (all flows share `dst`)
   /// into `loads`: one BFS + counting-sort level build + advancing-arc
-  /// overlay (skipped when `scratch` still holds them for this (network,
-  /// dst)) and one weight propagation pass. Flows must already be
+  /// overlay and one weight propagation pass. Flows must already be
   /// validated (validate_flow); unreachable destinations still throw here,
-  /// where the BFS result exists. Returns true when the overlay was
-  /// rebuilt, false when reused.
-  bool route_group(topo::VertexId dst, std::span<const GroupFlow> flows,
+  /// where the BFS result exists.
+  void route_group(topo::VertexId dst, std::span<const GroupFlow> flows,
                    double* loads, RoutingScratch& scratch) const;
 
   /// Range/sign validation of one flow, hoisted out of the hot kernels:
@@ -94,10 +92,6 @@ class GraphNetwork final : public Network {
   void validate_flow(const Flow& flow) const;
 
   topo::Graph graph_;
-  /// Process-unique id of this network, never reused: the advancing-arc
-  /// overlay cache is keyed on (id, dst), so a stale scratch can never be
-  /// mistaken for this network's.
-  std::uint64_t routing_id_ = 0;
 };
 
 /// Builds the preferred Network backend for a topology: TorusNetwork (the

@@ -1,12 +1,12 @@
 // Thread-safe memoization for the quantities sweeps recompute.
 //
-// A parameter sweep revisits the same geometries over and over: every
-// scheduler replication re-enumerates the candidate cuboids of every job
-// size, every routing point re-routes flows on geometries other points
-// already routed, and every bound table re-evaluates Theorem 3.1 on the
-// same (dims, t) pairs. Each of those is deterministic in its key, so a
-// keyed cache turns a sweep's cost from grid-size x cost into
-// distinct-keys x cost.
+// A parameter sweep revisits the same keys over and over: every scheduler
+// replication re-enumerates the candidate cuboids of every job size, every
+// dragonfly placement re-scores the same sub-network layouts, and the
+// pairing figures re-route geometries other rows already routed. Each of
+// those is deterministic in its key, so a keyed cache turns a sweep's cost
+// from grid-size x cost into distinct-keys x cost. Only quantities a
+// workload actually repeats are cached (DESIGN.md #6).
 //
 // Locking: one mutex guards one std::map per cache. Cache misses compute
 // *outside* the lock, so concurrent misses on the same key may duplicate
@@ -22,21 +22,16 @@
 // enumeration is re-read once per placement decision).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/experiments.hpp"
-#include "core/scheduler.hpp"
-#include "iso/torus_bound.hpp"
+#include "core/allocator.hpp"
 #include "simnet/pingpong.hpp"
-#include "strassen/caps.hpp"
 #include "topo/descriptor.hpp"
 
 namespace npac::obs {
@@ -50,16 +45,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
 
   std::uint64_t lookups() const { return hits + misses; }
-};
-
-/// Cache key for one simulated CAPS communication run (blocked rank map).
-struct CapsKey {
-  std::array<std::int64_t, 4> geometry{1, 1, 1, 1};
-  std::int64_t n = 0;
-  std::int64_t ranks = 0;
-  int bfs_steps = 0;
-
-  auto operator<=>(const CapsKey&) const = default;
 };
 
 /// Cache key for one ping-pong routing configuration, keyed by the
@@ -136,61 +121,32 @@ class MemoCache {
   CacheStats stats_;
 };
 
-/// Shared memo layer handed to every task of a sweep. All methods are
-/// thread-safe and return exactly what the uncached npac call would;
+/// Shared memo layer handed to every task of a sweep, and the partition
+/// oracle of every allocator the sweep builds: a scheduler sweep's many
+/// simulate_schedule calls share one cuboid enumeration per (machine,
+/// size) and one sub-network bisection per layout descriptor id. All
+/// methods are thread-safe and return exactly what the uncached call would;
 /// vector-valued results come back as shared_ptr<const ...> references to
 /// the single cached object (never null, immutable).
-class SweepContext {
+class SweepContext final : public core::PartitionOracle {
  public:
-  /// Theorem 3.1 lower bound (iso::torus_isoperimetric_lower_bound).
-  iso::BoundResult torus_bound(const topo::Dims& dims, std::int64_t t);
-
   /// bgq::enumerate_geometries — the cuboid bisection search, keyed by the
   /// machine's shape (name-independent) and the job size.
-  std::shared_ptr<const std::vector<bgq::Geometry>> enumerate_geometries(
-      const bgq::Machine& machine, std::int64_t midplanes);
+  std::shared_ptr<const std::vector<bgq::Geometry>> geometries(
+      const bgq::Machine& machine, std::int64_t midplanes) const override;
 
-  /// Best/worst entries of the cached enumeration.
-  std::optional<bgq::Geometry> best_geometry(const bgq::Machine& machine,
-                                             std::int64_t midplanes);
-  std::optional<bgq::Geometry> worst_geometry(const bgq::Machine& machine,
-                                              std::int64_t midplanes);
-
-  /// bgq::propose_improvement via the cached enumeration.
-  std::optional<bgq::Geometry> propose_improvement(const bgq::Machine& machine,
-                                                   const bgq::Geometry& current);
+  /// core::topology_bisection, keyed by the topology descriptor id.
+  core::TopologyBisection bisection(
+      const topo::TopologySpec& spec) const override;
 
   /// simnet::run_pingpong on a partition geometry.
   simnet::PingPongResult pingpong(const bgq::Geometry& geometry,
                                   const simnet::PingPongConfig& config,
                                   const simnet::NetworkOptions& options);
 
-  /// bgq::feasible_sizes, keyed by the machine's shape — the size list the
-  /// best/worst and machine-design bound tables (Tables 2/5/7) iterate.
-  std::shared_ptr<const std::vector<std::int64_t>> feasible_sizes(
-      const bgq::Machine& machine);
-
-  /// core::caps_comm_seconds — one simulated CAPS communication run, the
-  /// cost driver of Figures 5-6.
-  double caps_comm_seconds(const bgq::Geometry& geometry,
-                           const strassen::CapsParams& params);
-
-  /// core::topology_bisection, keyed by the topology descriptor id.
-  core::TopologyBisection topology_bisection(const topo::TopologySpec& spec);
-
-  /// core::topology_pairing_seconds, keyed by (descriptor id, volume).
-  double topology_pairing_seconds(const topo::TopologySpec& spec,
-                                  double bytes_per_pair);
-
-  CacheStats bound_stats() const { return bounds_.stats(); }
   CacheStats geometry_stats() const { return geometries_.stats(); }
   CacheStats routing_stats() const { return routing_.stats(); }
-  CacheStats feasible_stats() const { return feasible_.stats(); }
-  CacheStats caps_stats() const { return caps_.stats(); }
   CacheStats topology_stats() const { return topologies_.stats(); }
-  CacheStats topology_routing_stats() const {
-    return topology_routing_.stats();
-  }
 
   /// Every cache's stats in display order: (name, stats, entries). The
   /// single source of truth for the runner footer and publish_metrics —
@@ -207,39 +163,14 @@ class SweepContext {
   /// caches pay nothing per lookup; callers publish once per report.
   void publish_metrics(obs::Registry& registry) const;
 
-  void clear();
-
  private:
-  MemoCache<std::pair<topo::Dims, std::int64_t>, iso::BoundResult> bounds_;
-  MemoCache<std::pair<bgq::Geometry, std::int64_t>, std::vector<bgq::Geometry>>
+  // The oracle queries are const; their memo tables are mutable, as the
+  // allocators' own layout-class memo is.
+  mutable MemoCache<std::pair<bgq::Geometry, std::int64_t>,
+                    std::vector<bgq::Geometry>>
       geometries_;
+  mutable MemoCache<std::string, core::TopologyBisection> topologies_;
   MemoCache<RoutingKey, simnet::PingPongResult> routing_;
-  MemoCache<bgq::Geometry, std::vector<std::int64_t>> feasible_;
-  MemoCache<CapsKey, double> caps_;
-  MemoCache<std::string, core::TopologyBisection> topologies_;
-  MemoCache<std::pair<std::string, double>, double> topology_routing_;
-};
-
-/// core::PartitionOracle adapter: routes the allocator layer's layout
-/// queries through a SweepContext, so a sweep's many simulate_schedule /
-/// advisor calls share one cuboid enumeration per (machine, size) and one
-/// sub-network bisection per layout descriptor id.
-class CachedPartitionOracle final : public core::PartitionOracle {
- public:
-  explicit CachedPartitionOracle(SweepContext* context) : context_(context) {}
-
-  std::shared_ptr<const std::vector<bgq::Geometry>> geometries(
-      const bgq::Machine& machine, std::int64_t midplanes) const override {
-    return context_->enumerate_geometries(machine, midplanes);
-  }
-
-  core::TopologyBisection bisection(
-      const topo::TopologySpec& spec) const override {
-    return context_->topology_bisection(spec);
-  }
-
- private:
-  SweepContext* context_;
 };
 
 }  // namespace npac::sweep

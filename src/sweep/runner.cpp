@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -25,6 +26,23 @@ std::int64_t parse_integer(const std::string& flag, const char* text) {
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument(flag + ": malformed integer '" + text + "'\n" +
+                                kUsage);
+  }
+  return value;
+}
+
+/// Full-range unsigned 64-bit parse. strtoull would accept "-1" and
+/// negate it to 2^64 - 1, so any minus sign is rejected up front.
+std::uint64_t parse_unsigned(const std::string& flag, const char* text) {
+  if (std::strchr(text, '-') != nullptr) {
+    throw std::invalid_argument(flag + ": must be non-negative, got '" +
+                                text + "'\n" + kUsage);
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
   if (end == text || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument(flag + ": malformed integer '" + text + "'\n" +
                                 kUsage);
@@ -74,7 +92,7 @@ RunnerConfig parse_runner_flags(int argc, char** argv) {
       }
       config.threads = static_cast<int>(threads);
     } else if (flag == "--seed") {
-      config.seed = static_cast<std::uint64_t>(parse_integer(flag, value()));
+      config.seed = parse_unsigned(flag, value());
     } else if (flag == "--csv") {
       config.csv_path = value();
     } else if (flag == "--fast") {

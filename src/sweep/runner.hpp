@@ -58,64 +58,34 @@
 
 namespace npac::sweep {
 
-/// core::ExperimentEngine backend on the sweep machinery: sub-results are
-/// memoized in a SweepContext and row loops fan out on a ThreadPool.
-/// pairing() is inherited: its two pingpong() calls hit the routing cache,
-/// so no geometry is routed twice. Every hook returns exactly what the
-/// serial engine would (cached values are pure functions of their keys;
+/// core::ExperimentEngine backend on the sweep machinery: row loops fan
+/// out on a ThreadPool, ping-pong runs are memoized in the SweepContext,
+/// and the context is the engine's partition oracle, so the inherited
+/// geometry and bisection hooks read its memo tables. pairing() is
+/// inherited too: its two pingpong() calls hit the routing cache, so no
+/// geometry is routed twice. Every hook returns exactly what the serial
+/// engine would (cached values are pure functions of their keys;
 /// parallel_for writes are index-addressed), so driving an experiment
 /// through this engine changes its cost, never its output.
 class SweepEngine final : public core::ExperimentEngine {
  public:
   /// Both referents must outlive the engine.
   SweepEngine(SweepContext& context, ThreadPool& pool)
-      : context_(&context), pool_(&pool), oracle_(&context) {}
+      : context_(&context), pool_(&pool) {}
 
-  std::shared_ptr<const std::vector<std::int64_t>> feasible_sizes(
-      const bgq::Machine& machine) override {
-    return context_->feasible_sizes(machine);
-  }
-  std::optional<bgq::Geometry> best_geometry(const bgq::Machine& machine,
-                                             std::int64_t midplanes) override {
-    return context_->best_geometry(machine, midplanes);
-  }
-  std::optional<bgq::Geometry> worst_geometry(const bgq::Machine& machine,
-                                              std::int64_t midplanes) override {
-    return context_->worst_geometry(machine, midplanes);
-  }
-  std::optional<bgq::Geometry> propose_improvement(
-      const bgq::Machine& machine, const bgq::Geometry& current) override {
-    return context_->propose_improvement(machine, current);
-  }
   simnet::PingPongResult pingpong(const bgq::Geometry& geometry,
                                   const simnet::PingPongConfig& config) override {
     return context_->pingpong(geometry, config, {});
   }
-  double caps_comm_seconds(const bgq::Geometry& geometry,
-                           const strassen::CapsParams& params) override {
-    return context_->caps_comm_seconds(geometry, params);
-  }
-  core::TopologyBisection topology_bisection(
-      const topo::TopologySpec& spec) override {
-    return context_->topology_bisection(spec);
-  }
-  double topology_pairing_seconds(const topo::TopologySpec& spec,
-                                  double bytes_per_pair) override {
-    return context_->topology_pairing_seconds(spec, bytes_per_pair);
-  }
+  const core::PartitionOracle& partition_oracle() override { return *context_; }
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t)>& fn) override {
     pool_->run_indexed(n, fn);
   }
-  const core::PartitionOracle& partition_oracle() override { return oracle_; }
-
-  SweepContext& context() { return *context_; }
-  ThreadPool& pool() { return *pool_; }
 
  private:
   SweepContext* context_;
   ThreadPool* pool_;
-  CachedPartitionOracle oracle_;
 };
 
 // --------------------------------------------------------------------------

@@ -40,7 +40,6 @@ std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
                              num_policies * num_fractions * reps;
 
   ThreadPool pool(options.threads);
-  const CachedPartitionOracle oracle(&context);
   return parallel_map<TopologySchedulerRow>(
       pool, tasks, [&](std::int64_t index) {
         const std::int64_t rep = index % reps;
@@ -66,7 +65,7 @@ std::vector<TopologySchedulerRow> run_topology_scheduler_sweep(
 
         TraceConfig config = grid.trace;
         config.contention_fraction = row.contention_fraction;
-        const auto allocator = core::make_allocator(machine.spec, oracle);
+        const auto allocator = core::make_allocator(machine.spec, context);
         const auto result = core::simulate_schedule(
             *allocator, row.policy,
             generate_trace(machine.size_pool, config, row.trace_seed));

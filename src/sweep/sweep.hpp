@@ -9,9 +9,9 @@
 //  * comparability — scheduler sweeps give every policy the *same* traces
 //    (the trace seed depends on the mix and replication, not the policy),
 //    so policy columns are paired samples, not independent draws;
-//  * shared memoization — tasks pull Theorem 3.1 bounds, cuboid
-//    enumerations, and routing results through one SweepContext, so a
-//    quantity repeated across grid points is computed once.
+//  * shared memoization — every task's allocator takes one SweepContext
+//    as its partition oracle, so a cuboid enumeration or layout bisection
+//    repeated across grid points is computed once.
 #pragma once
 
 #include <cstdint>

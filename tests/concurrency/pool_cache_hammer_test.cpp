@@ -21,8 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "bgq/bisection.hpp"
 #include "bgq/machine.hpp"
-#include "iso/torus_bound.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/pool.hpp"
@@ -46,13 +46,24 @@ std::uint64_t skewed_spin(std::int64_t i) {
   return h;
 }
 
+/// A pure function of the cached cuboid enumeration of `midplanes` Mira
+/// midplanes: its length and its best bisection (sizes that fit no cuboid
+/// enumerate empty).
+double enumeration_checksum(const SweepContext& context,
+                            std::int64_t midplanes) {
+  const auto all = context.geometries(bgq::mira(), midplanes);
+  const double best =
+      all->empty()
+          ? 0.0
+          : static_cast<double>(bgq::normalized_bisection(all->front()));
+  return static_cast<double>(all->size()) * 1e4 + best;
+}
+
 TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   obs::Registry registry({/*tracing=*/true, /*trace_capacity=*/1 << 14});
   obs::ScopedRegistry installed(registry);
 
   SweepContext context;
-  const topo::Dims dims = {8, 4, 4};
-  const bgq::Machine machine = bgq::mira();
 
   // Serial reference, computed through a fresh context so the parallel run
   // below cannot "agree with itself" via the shared cache.
@@ -60,14 +71,13 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   {
     SweepContext reference;
     for (std::int64_t i = 0; i < kTasks; ++i) {
-      const std::int64_t t = 1 + (i % 50);
       expected[static_cast<std::size_t>(i)] =
-          reference.torus_bound(dims, t).value;
+          enumeration_checksum(reference, 1 + (i % 50));
     }
   }
 
   std::vector<double> got(static_cast<std::size_t>(kTasks), -1.0);
-  std::atomic<std::uint64_t> geometry_rows{0};
+  std::atomic<std::uint64_t> bisection_sum{0};
 
   ThreadPool pool(kThreads);
   ASSERT_EQ(pool.num_threads(), kThreads);
@@ -76,14 +86,15 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   // MemoCache::get_or_compute get contended coverage.
   for (int round = 0; round < 3; ++round) {
     pool.run_indexed(kTasks, [&](std::int64_t i) {
-      const std::int64_t t = 1 + (i % 50);
-      got[static_cast<std::size_t>(i)] = context.torus_bound(dims, t).value;
-      // A second cache with heavier values: the cuboid enumeration for a
-      // rotating job size, same key set across all workers. Hits share one
-      // object, so concurrent readers of the vector are also exercised.
-      const std::int64_t midplanes = 1 + (i % 8);
-      geometry_rows.fetch_add(
-          context.enumerate_geometries(machine, midplanes)->size(),
+      // Hits share one enumeration object, so concurrent readers of the
+      // cached vector are exercised as well as the map.
+      got[static_cast<std::size_t>(i)] =
+          enumeration_checksum(context, 1 + (i % 50));
+      // A second cache: the descriptor-keyed bisection of a rotating torus,
+      // same key set across all workers.
+      const auto spec = topo::TopologySpec::torus({2 + (i % 4), 4, 4});
+      bisection_sum.fetch_add(
+          static_cast<std::uint64_t>(context.bisection(spec).value),
           std::memory_order_relaxed);
       // Seeded per-task randomness, the sanctioned D2 pattern.
       (void)task_seed(1234, i);
@@ -99,12 +110,12 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   // the distinct-key count bounds the stored entries. (Concurrent misses
   // on one key may both compute — first insert wins — so misses can exceed
   // entries but lookups are conserved.)
-  const CacheStats bounds = context.bound_stats();
-  EXPECT_EQ(bounds.lookups(), static_cast<std::uint64_t>(3 * kTasks));
-  EXPECT_GE(bounds.misses, 50u);
   const CacheStats geometries = context.geometry_stats();
   EXPECT_EQ(geometries.lookups(), static_cast<std::uint64_t>(3 * kTasks));
-  EXPECT_GT(geometry_rows.load(), 0u);
+  EXPECT_GE(geometries.misses, 50u);
+  const CacheStats topologies = context.topology_stats();
+  EXPECT_EQ(topologies.lookups(), static_cast<std::uint64_t>(3 * kTasks));
+  EXPECT_GT(bisection_sum.load(), 0u);
 
   // all_stats() reports the same aggregates after 8 workers hammered the
   // cache concurrently, and exactly one entry per distinct key survives.
@@ -116,7 +127,7 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
     ASSERT_NE(named, all.end());
     EXPECT_EQ(named->stats.hits, geometries.hits);
     EXPECT_EQ(named->stats.misses, geometries.misses);
-    EXPECT_EQ(named->entries, 8u);  // 8 distinct (machine, midplanes) keys
+    EXPECT_EQ(named->entries, 50u);  // 50 distinct (machine, midplanes) keys
   }
 
   // The instrumentation saw the work: pool counters sum across workers,
@@ -127,8 +138,8 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
             static_cast<std::uint64_t>(3 * kTasks));
   EXPECT_EQ(registry.counter_value("pool.runs"), 3u);
   context.publish_metrics(registry);
-  EXPECT_EQ(registry.gauge_value("cache.bounds.hits"),
-            static_cast<double>(bounds.hits));
+  EXPECT_EQ(registry.gauge_value("cache.geometries.hits"),
+            static_cast<double>(geometries.hits));
   // Snapshotting concurrently-written instruments must be race-free too.
   EXPECT_FALSE(registry.metrics_json().empty());
   EXPECT_GT(registry.trace().size(), 0u);
@@ -141,15 +152,14 @@ TEST(PoolCacheHammerTest, SkewedCostsAreByteIdenticalAt1_2_7_16Threads) {
   // different execution order — and exactly the same bytes. 7 and 16 also
   // exercise worker counts that do not divide the task count.
   SweepContext reference_context;
-  const topo::Dims dims = {8, 4, 4};
   std::vector<std::uint64_t> reference(static_cast<std::size_t>(kTasks));
   {
     ThreadPool pool(1);
     pool.run_indexed(kTasks, [&](std::int64_t i) {
-      const std::int64_t t = 1 + (i % 50);
-      const double bound = reference_context.torus_bound(dims, t).value;
+      const double checksum =
+          enumeration_checksum(reference_context, 1 + (i % 50));
       reference[static_cast<std::size_t>(i)] =
-          skewed_spin(i) ^ static_cast<std::uint64_t>(bound * 1e6);
+          skewed_spin(i) ^ static_cast<std::uint64_t>(checksum * 1e6);
     });
   }
 
@@ -159,10 +169,9 @@ TEST(PoolCacheHammerTest, SkewedCostsAreByteIdenticalAt1_2_7_16Threads) {
     ThreadPool pool(threads);
     ASSERT_EQ(pool.num_threads(), threads);
     pool.run_indexed(kTasks, [&](std::int64_t i) {
-      const std::int64_t t = 1 + (i % 50);
-      const double bound = context.torus_bound(dims, t).value;
+      const double checksum = enumeration_checksum(context, 1 + (i % 50));
       got[static_cast<std::size_t>(i)] =
-          skewed_spin(i) ^ static_cast<std::uint64_t>(bound * 1e6);
+          skewed_spin(i) ^ static_cast<std::uint64_t>(checksum * 1e6);
     });
     EXPECT_EQ(got, reference) << "threads=" << threads;
   }

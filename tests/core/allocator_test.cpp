@@ -106,16 +106,15 @@ TEST(CuboidAllocatorPinTest, ReproducesPreRefactorSchedulesBitExactly) {
 }
 
 TEST(CuboidAllocatorPinTest, MemoizedOracleChangesNothing) {
-  // The same schedules through a CachedPartitionOracle: memoization may
+  // The same schedules through a SweepContext oracle: memoization may
   // only change the cost, never a byte of the digest.
   sweep::SweepContext context;
-  const sweep::CachedPartitionOracle oracle(&context);
   for (const GoldenSchedule& golden : kGoldenSchedules) {
     const bgq::Machine machine = machine_by_name(golden.machine);
     sweep::TraceConfig config;
     config.num_jobs = 24;
     const auto jobs = sweep::generate_trace(machine, config, 2020);
-    const auto result = simulate_schedule(*make_allocator(machine, oracle),
+    const auto result = simulate_schedule(*make_allocator(machine, context),
                                           golden.policy, jobs);
     EXPECT_EQ(fnv1a(schedule_digest(result)), golden.digest_hash)
         << golden.machine << " / " << to_string(golden.policy);

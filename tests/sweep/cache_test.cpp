@@ -1,5 +1,6 @@
 // Memo-layer tests: cached values equal their uncached counterparts, hits
-// and misses are counted, and concurrent access is safe.
+// and misses are counted, concurrent access is safe, and the SweepEngine
+// hooks that read the context as their partition oracle agree with bgq.
 #include "sweep/cache.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "bgq/machine.hpp"
 #include "bgq/policy.hpp"
 #include "sweep/pool.hpp"
+#include "sweep/runner.hpp"
 
 namespace npac::sweep {
 namespace {
@@ -49,64 +51,49 @@ TEST(MemoCacheTest, HitsShareOneObjectInsteadOfCopying) {
   EXPECT_EQ(*first, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SweepContextTest, BoundMatchesDirectComputation) {
-  SweepContext context;
-  const topo::Dims dims = {8, 4, 4};
-  for (const std::int64_t t : {1, 8, 16, 32, 64}) {
-    const auto cached = context.torus_bound(dims, t);
-    const auto direct = iso::torus_isoperimetric_lower_bound(dims, t);
-    EXPECT_DOUBLE_EQ(cached.value, direct.value) << "t=" << t;
-    EXPECT_EQ(cached.arg_min_r, direct.arg_min_r) << "t=" << t;
-  }
-}
-
-TEST(SweepContextTest, BoundKeyIsCanonicalized) {
-  SweepContext context;
-  context.torus_bound({4, 8, 4}, 16);
-  EXPECT_EQ(context.bound_stats().misses, 1u);
-  // A permutation of the same dims is the same torus — must hit.
-  context.torus_bound({8, 4, 4}, 16);
-  EXPECT_EQ(context.bound_stats().hits, 1u);
-  EXPECT_EQ(context.bound_stats().misses, 1u);
-}
-
 TEST(SweepContextTest, EnumerationMatchesDirectAndCaches) {
   SweepContext context;
   const bgq::Machine machine = bgq::mira();
   for (const std::int64_t size : {4, 8, 16, 24}) {
-    EXPECT_EQ(*context.enumerate_geometries(machine, size),
+    EXPECT_EQ(*context.geometries(machine, size),
               bgq::enumerate_geometries(machine, size))
         << "size " << size;
   }
   EXPECT_EQ(context.geometry_stats().misses, 4u);
-  context.enumerate_geometries(machine, 4);
+  context.geometries(machine, 4);
   EXPECT_EQ(context.geometry_stats().hits, 1u);
 }
 
-TEST(SweepContextTest, BestWorstMatchDirect) {
+TEST(SweepEngineTest, BestWorstMatchDirect) {
   SweepContext context;
+  ThreadPool pool(1);
+  SweepEngine engine(context, pool);
   const bgq::Machine machine = bgq::juqueen();
   for (const std::int64_t size : bgq::feasible_sizes(machine)) {
-    EXPECT_EQ(context.best_geometry(machine, size),
+    EXPECT_EQ(engine.best_geometry(machine, size),
               bgq::best_geometry(machine, size));
-    EXPECT_EQ(context.worst_geometry(machine, size),
+    EXPECT_EQ(engine.worst_geometry(machine, size),
               bgq::worst_geometry(machine, size));
   }
   // Infeasible size: empty everywhere.
-  EXPECT_FALSE(context.best_geometry(machine, 9).has_value());
+  EXPECT_FALSE(engine.best_geometry(machine, 9).has_value());
   EXPECT_FALSE(bgq::best_geometry(machine, 9).has_value());
+  // The hooks read the context's enumeration table.
+  EXPECT_GT(context.geometry_stats().hits, 0u);
 }
 
-TEST(SweepContextTest, ProposeImprovementMatchesDirect) {
+TEST(SweepEngineTest, ProposeImprovementMatchesDirect) {
   SweepContext context;
+  ThreadPool pool(1);
+  SweepEngine engine(context, pool);
   const bgq::Machine machine = bgq::mira();
   for (const bgq::PolicyEntry& entry : bgq::mira_scheduler_partitions()) {
-    EXPECT_EQ(context.propose_improvement(machine, entry.geometry),
+    EXPECT_EQ(engine.propose_improvement(machine, entry.geometry),
               bgq::propose_improvement(machine, entry.geometry))
         << entry.geometry.to_string();
   }
-  EXPECT_THROW(context.propose_improvement(bgq::juqueen(),
-                                           bgq::Geometry(4, 4, 1, 1)),
+  EXPECT_THROW(engine.propose_improvement(bgq::juqueen(),
+                                          bgq::Geometry(4, 4, 1, 1)),
                std::invalid_argument);
 }
 
@@ -133,9 +120,9 @@ TEST(SweepContextTest, PingpongMatchesDirectPerTieBreak) {
   EXPECT_EQ(context.routing_stats().hits, 1u);
 }
 
-TEST(CachedPartitionOracleTest, MatchesDefaultOracle) {
+TEST(SweepContextTest, OracleMatchesDefaultOracle) {
   SweepContext context;
-  const CachedPartitionOracle cached(&context);
+  const core::PartitionOracle& cached = context;
   const core::PartitionOracle& plain = core::default_partition_oracle();
   const bgq::Machine machine = bgq::mira();
   for (const std::int64_t size : {1, 2, 4, 8, 16}) {
@@ -159,7 +146,7 @@ TEST(SweepContextTest, ConcurrentLookupsAgree) {
   const auto results =
       parallel_map<std::shared_ptr<const std::vector<bgq::Geometry>>>(
           pool, 64, [&](std::int64_t) {
-            return context.enumerate_geometries(machine, 8);
+            return context.geometries(machine, 8);
           });
   const auto expected = bgq::enumerate_geometries(machine, 8);
   for (const auto& result : results) EXPECT_EQ(*result, expected);

@@ -202,9 +202,8 @@ TEST(TraceTest, ReplayMatchesDirectSimulation) {
   config.num_jobs = 16;
   const auto jobs = generate_trace(bgq::mira(), config, 5);
   SweepContext context;
-  const CachedPartitionOracle oracle(&context);
   const auto replayed = core::simulate_schedule(
-      *core::make_allocator(bgq::mira(), oracle),
+      *core::make_allocator(bgq::mira(), context),
       core::SchedulerPolicy::kBestBisection, jobs);
   const auto direct = core::simulate_schedule(
       *core::make_allocator(bgq::mira()), core::SchedulerPolicy::kBestBisection,
