@@ -3,8 +3,9 @@
 // pairing among its own nodes; compact cuboid allocations are network-
 // disjoint, interleaved (cloud-style) allocations collide.
 //
-// Runs on the src/sweep bench runner: the (host torus x layout) grid fans
-// across the thread pool (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: the (host torus x layout) grid runs
+// in order, its routing on the kernel pool (--threads N, --seed S,
+// --csv PATH).
 #include "bgq/geometry.hpp"
 #include "simnet/interference.hpp"
 #include "sweep/runner.hpp"

@@ -7,9 +7,10 @@
 // pairs.
 //
 // Runs on the src/sweep bench runner: the per-pair sensitivity analyses
-// fan across the thread pool (--threads N, --seed S, --csv PATH). Rows are
-// labelled mp4 / mp8 / mp24 for --filter; --fast drops the 24-midplane
-// pair, which takes nearly all of the run time.
+// run in order and their routing fans out on the kernel pool (--threads N,
+// --seed S, --csv PATH). Rows are labelled mp4 / mp8 / mp24 for --filter;
+// --fast drops the 24-midplane pair, which takes nearly all of the run
+// time.
 #include "apps/kernels.hpp"
 #include "sweep/runner.hpp"
 

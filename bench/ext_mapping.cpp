@@ -3,10 +3,10 @@
 // blocked (ABCDE), strided and random rank-to-node mappings on both the
 // current and proposed 4-midplane geometries.
 //
-// Runs on the src/sweep bench runner: the (geometry x mapping) grid fans
-// across the thread pool; the blocked baseline of each geometry is
-// simulated once, before the grid runs, rather than once per row
-// (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: the (geometry x mapping) grid runs
+// in order, its routing on the kernel pool; the blocked baseline of each
+// geometry is simulated once, before the grid runs, rather than once per
+// row (--threads N, --seed S, --csv PATH).
 #include "simmpi/communicator.hpp"
 #include "strassen/caps.hpp"
 #include "sweep/runner.hpp"

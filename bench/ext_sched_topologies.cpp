@@ -8,8 +8,8 @@
 // the machine and policy axes, so every machine and every policy replays
 // the identical trace of its (mix, replication) cell — all columns are
 // paired samples. Layout scoring (cuboid enumerations, slice bisections) is
-// shared through the sweep cache, and the grid fans across the bench
-// runner's thread pool (--threads N; byte-identical for any thread count).
+// shared through the sweep cache, and the grid fans across --threads N
+// workers (byte-identical for any thread count).
 #include <cstdio>
 
 #include "sweep/runner.hpp"

@@ -5,8 +5,8 @@
 // job mixes, with several Monte Carlo trace replications per grid point —
 // every policy replays the identical traces, so rows are paired samples.
 // Geometry enumerations are shared through the sweep cache, and the grid
-// fans across the bench runner's thread pool (--threads N; sweeps are
-// byte-identical for any thread count). --seed reseeds the traces; --csv
+// fans across --threads N workers (sweeps are byte-identical for any
+// thread count). --seed reseeds the traces; --csv
 // writes the full-resolution rows.
 //
 // Note: the runner port unified this driver's trace seeding on the shared

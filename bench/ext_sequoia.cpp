@@ -2,8 +2,8 @@
 // could not run experiments for (the machine moved to classified work in
 // 2013). Same method as Table 7, applied to the 4 x 4 x 4 x 3 machine.
 //
-// Runs on the src/sweep bench runner: per-size rows fan across the thread
-// pool and share the enumeration cache (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: per-size rows share the enumeration
+// cache (--threads N, --seed S, --csv PATH).
 #include "core/report.hpp"
 #include "sweep/runner.hpp"
 

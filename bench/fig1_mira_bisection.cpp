@@ -3,8 +3,8 @@
 // (series printed as rows; plot midplanes vs the two BW columns).
 //
 // Runs on the src/sweep bench runner: the per-size optimal-cuboid searches
-// fan across the thread pool and share the sweep cache (--threads N,
-// --seed S, --csv PATH; output is byte-identical for any thread count).
+// share the sweep cache (--threads N, --seed S, --csv PATH; output is
+// byte-identical for any thread count).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

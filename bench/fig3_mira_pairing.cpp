@@ -3,9 +3,8 @@
 // 2 GB/s/direction links), current vs proposed geometries, on the
 // flow-level contention simulator.
 //
-// Runs on the src/sweep bench runner: the per-size pairing rows fan across
-// the thread pool, and each geometry's ping-pong run is memoized
-// (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: each geometry's ping-pong run is
+// memoized (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

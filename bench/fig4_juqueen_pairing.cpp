@@ -1,9 +1,8 @@
 // Regenerates paper Figure 4: the bisection-pairing experiment on JUQUEEN,
 // worst-case vs proposed geometries at 4/6/8/12/16 midplanes.
 //
-// Runs on the src/sweep bench runner: pairing rows fan across the thread
-// pool and share the per-geometry routing cache with Figure 3 and the
-// routing sweeps (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: pairing rows share the per-geometry
+// routing cache (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

@@ -1,10 +1,10 @@
 // Regenerates paper Figure 5: CAPS Strassen-Winograd communication time on
 // Mira, current vs proposed partitions, at the Table 3 configurations.
 //
-// Runs on the src/sweep bench runner: the per-size CAPS simulations fan
-// across the thread pool. The 24-midplane point routes ~1.5e8 node-level
-// flows per phase; pass --fast to skip it (the 4/8/16 points carry the
-// figure's story). Also --threads, --seed, --csv.
+// Runs on the src/sweep bench runner: the per-size CAPS simulations run in
+// order, their routing on the kernel pool. The 24-midplane point routes
+// ~1.5e8 node-level flows per phase; pass --fast to skip it (the 4/8/16
+// points carry the figure's story). Also --threads, --seed, --csv.
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

@@ -2,9 +2,8 @@
 // JUQUEEN and the hypothetical balanced machines JUQUEEN-48 / JUQUEEN-54
 // (best-case partitions everywhere).
 //
-// Runs on the src/sweep bench runner: per-size rows fan across the thread
-// pool and the per-machine geometry enumerations are memoized
-// (--threads N, --seed S, --csv PATH).
+// Runs on the src/sweep bench runner: the per-machine geometry
+// enumerations are memoized (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

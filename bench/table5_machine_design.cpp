@@ -1,9 +1,8 @@
 // Regenerates paper Table 5: full list of best-case partitions in JUQUEEN
 // and the proposed machines JUQUEEN-54 and JUQUEEN-48, with geometries.
 //
-// Runs on the src/sweep bench runner: per-size rows fan across the thread
-// pool and share the memoized geometry enumerations (--threads N, --seed S,
-// --csv PATH).
+// Runs on the src/sweep bench runner: per-size rows share the memoized
+// geometry enumerations (--threads N, --seed S, --csv PATH).
 #include "sweep/runner.hpp"
 
 int main(int argc, char** argv) {

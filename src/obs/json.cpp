@@ -58,9 +58,18 @@ class Parser {
   JsonValue parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Containers recurse, so nesting is capped: a hostile run of
+        // brackets must throw, not exhaust the stack.
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -214,8 +223,11 @@ class Parser {
     return JsonValue(value);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void kind_error(const char* wanted) {

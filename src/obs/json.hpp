@@ -4,7 +4,8 @@
 // re-reads: the obs and runner tests parse the registry / trace output
 // to assert it is well-formed. Numbers are doubles, objects are
 // name-sorted maps, and parse errors throw std::invalid_argument with a
-// byte offset. No external dependency.
+// byte offset. Arrays and objects nest at most 512 deep, so hostile input
+// cannot overflow the parser's stack. No external dependency.
 #pragma once
 
 #include <cstdint>

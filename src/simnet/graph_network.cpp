@@ -492,10 +492,6 @@ std::size_t GraphNetwork::channel_of(topo::VertexId from,
          static_cast<std::size_t>(it - adjacency.begin());
 }
 
-double GraphNetwork::channel_capacity(std::size_t channel) const {
-  return graph_.arc_at(channel).capacity;
-}
-
 double GraphNetwork::channel_seconds(const LinkLoads& loads) const {
   double worst = 0.0;
   for (std::size_t c = 0; c < loads.num_channels(); ++c) {

@@ -70,9 +70,6 @@ class GraphNetwork final : public Network {
   /// returns the first of them.
   std::size_t channel_of(topo::VertexId from, topo::VertexId to) const;
 
-  /// Capacity of a channel (the underlying arc's capacity).
-  double channel_capacity(std::size_t channel) const;
-
  protected:
   /// Capacity-aware drain time: max over arcs of load / (capacity * bw).
   double channel_seconds(const LinkLoads& loads) const override;

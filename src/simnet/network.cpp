@@ -66,15 +66,6 @@ double LinkLoads::max_load_in_dim(std::size_t dim) const {
   return best;
 }
 
-void LinkLoads::add(const LinkLoads& other) {
-  if (other.loads_.size() != loads_.size()) {
-    throw std::invalid_argument("LinkLoads::add: shape mismatch");
-  }
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] += other.loads_[i];
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Network (shared completion-time model)
 // ---------------------------------------------------------------------------

@@ -81,8 +81,6 @@ class LinkLoads {
   /// Maximum load among channels of one dimension. Requires torus_shaped().
   double max_load_in_dim(std::size_t dim) const;
 
-  void add(const LinkLoads& other);
-
  private:
   void require_torus_shape() const;
 
@@ -184,7 +182,7 @@ class TorusNetwork final : public Network {
   std::size_t num_channels() const override;
   LinkLoads make_loads() const override;
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// Specialized routing in chunks of flows on the shared pool (see
+  /// Specialized routing in chunks of flows on parallel_for (see
   /// route_chunks); byte-identical at any thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   std::int64_t path_hops(const Flow& flow) const override;

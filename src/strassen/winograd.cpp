@@ -58,7 +58,7 @@ Matrix multiply_rec(const Matrix& a, const Matrix& b,
   const Matrix t3 = b22 - b12;
   const Matrix t4 = t2 - b21;
 
-  // The seven products in four sections on the shared pool; inside a
+  // The seven products in four sections on parallel_for; inside a
   // section (a task of a multi-worker run) deeper levels run inline.
   Matrix p1, p2, p3, p4, p5, p6, p7;
   sweep::parallel_for(4, [&](std::int64_t section) {

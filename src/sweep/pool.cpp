@@ -119,6 +119,10 @@ std::string worker_metric(int worker_index, const char* suffix) {
 /// pool); parallel_for then runs inline instead of fanning out again.
 thread_local int t_multi_worker_depth = 0;
 
+/// parallel_for's pool while a ScopedKernelPool is alive; null selects
+/// shared_pool().
+std::atomic<ThreadPool*> g_kernel_pool{nullptr};
+
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
@@ -377,10 +381,18 @@ ThreadPool& shared_pool() {
   return pool;
 }
 
+ScopedKernelPool::ScopedKernelPool(ThreadPool& pool)
+    : previous_(g_kernel_pool.exchange(&pool, std::memory_order_acq_rel)) {}
+
+ScopedKernelPool::~ScopedKernelPool() {
+  g_kernel_pool.store(previous_, std::memory_order_release);
+}
+
 void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t)>& fn) {
   if (n > 1 && t_multi_worker_depth == 0) {
-    ThreadPool& pool = shared_pool();
+    ThreadPool* const installed = g_kernel_pool.load(std::memory_order_acquire);
+    ThreadPool& pool = installed != nullptr ? *installed : shared_pool();
     if (pool.num_threads() > 1 && pool.try_run_indexed(n, fn)) return;
   }
   for (std::int64_t i = 0; i < n; ++i) fn(i);

@@ -25,9 +25,11 @@
 //    threads=1 no matter who stole what;
 //  * one runtime: library kernels (torus and graph routing, brute-force
 //    bisection, the matrix kernels) parallelize through parallel_for on
-//    one process-wide shared_pool(), and a loop nested inside a task of a
-//    multi-worker run executes inline, so nested parallelism never
-//    oversubscribes the cores.
+//    one pool — the installed kernel pool (ScopedKernelPool; the bench
+//    runner installs its --threads-sized pool) or else the process-wide
+//    shared_pool() — and a loop nested inside a task of a multi-worker
+//    run executes inline, so nested parallelism never oversubscribes the
+//    cores.
 #pragma once
 
 #include <array>
@@ -199,17 +201,34 @@ std::vector<T> parallel_map(ThreadPool& pool, std::int64_t n, Fn&& fn) {
   return out;
 }
 
-/// The process-wide pool behind parallel_for: hardware concurrency
-/// workers, created on first use and shared by every caller.
+/// The process-wide pool behind parallel_for when no kernel pool is
+/// installed: hardware concurrency workers, created on first use and
+/// shared by every caller.
 ThreadPool& shared_pool();
 
-/// Runs fn(i) for every i in [0, n) on shared_pool(), and blocks until all
-/// complete. It runs inline on the calling thread, in index order, when
-/// the caller is already running a task of a multi-worker run, when the
-/// shared pool has one worker, or when the shared pool is busy with
-/// another thread's loop. Callers keep results independent of which case
-/// applied: index-addressed writes, and reductions over partials in index
-/// order, with n derived from the input size only.
+/// Stack-disciplined installation of parallel_for's pool: while the scope
+/// lives, parallel_for fans out on `pool` instead of shared_pool(); the
+/// previously installed pool (or none) is restored on destruction. The
+/// pool must outlive the scope.
+class ScopedKernelPool {
+ public:
+  explicit ScopedKernelPool(ThreadPool& pool);
+  ~ScopedKernelPool();
+
+  ScopedKernelPool(const ScopedKernelPool&) = delete;
+  ScopedKernelPool& operator=(const ScopedKernelPool&) = delete;
+
+ private:
+  ThreadPool* previous_;
+};
+
+/// Runs fn(i) for every i in [0, n) on the installed kernel pool (else
+/// shared_pool()), and blocks until all complete. It runs inline on the
+/// calling thread, in index order, when the caller is already running a
+/// task of a multi-worker run, when that pool has one worker, or when it
+/// is busy with another thread's loop. Callers keep results independent
+/// of which case applied: index-addressed writes, and reductions over
+/// partials in index order, with n derived from the input size only.
 void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
 }  // namespace npac::sweep

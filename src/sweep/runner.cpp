@@ -1,7 +1,6 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -138,44 +137,30 @@ std::vector<std::int64_t> select_rows(const BenchGrid& grid,
 }
 
 std::vector<std::vector<std::string>> run_grid(
-    const BenchGrid& grid, ThreadPool& pool, std::uint64_t base_seed,
+    const BenchGrid& grid, std::uint64_t base_seed,
     std::vector<double>* row_seconds,
     const std::vector<std::int64_t>* selection) {
-  // Map the k-th computed row to its original grid index so filtered rows
-  // keep the task seed of the unfiltered run.
-  std::vector<std::int64_t> indices;
-  if (selection != nullptr) {
-    indices = *selection;
-  } else {
-    indices.resize(static_cast<std::size_t>(grid.rows));
-    for (std::int64_t i = 0; i < grid.rows; ++i) {
-      indices[static_cast<std::size_t>(i)] = i;
-    }
-  }
-  std::vector<std::vector<std::string>> rows(indices.size());
-  if (row_seconds != nullptr) {
-    row_seconds->assign(indices.size(), 0.0);
-  }
-  pool.run_indexed(static_cast<std::int64_t>(indices.size()),
-                   [&](std::int64_t k) {
-    const std::int64_t i = indices[static_cast<std::size_t>(k)];
+  // Filtered rows keep the task seed of their original grid index.
+  const std::vector<std::int64_t> indices =
+      selection != nullptr ? *selection : select_rows(grid, "");
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(indices.size());
+  if (row_seconds != nullptr) row_seconds->clear();
+  for (const std::int64_t i : indices) {
     const auto row_start = std::chrono::steady_clock::now();
     try {
-      rows[static_cast<std::size_t>(k)] =
-          grid.cells(i, task_seed(base_seed, i));
+      rows.push_back(grid.cells(i, task_seed(base_seed, i)));
     } catch (const std::exception& error) {
-      // Fail fast with the failing row named: the pool surfaces the first
-      // task error, and "grid row 7 ('mp128')" beats a bare what().
+      // "grid row 7 ('mp128')" beats a bare what().
       throw std::runtime_error("grid row " + std::to_string(i) + " ('" +
                                row_label(grid, i) + "'): " + error.what());
     }
     if (row_seconds != nullptr) {
-      (*row_seconds)[static_cast<std::size_t>(k)] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        row_start)
-              .count();
+      row_seconds->push_back(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - row_start)
+                                 .count());
     }
-  });
+  }
   return rows;
 }
 
@@ -410,8 +395,10 @@ Runner::Runner(std::string title, int argc, char** argv)
       scoped_registry_(registry_ == nullptr
                            ? nullptr
                            : std::make_unique<obs::ScopedRegistry>(*registry_)),
-      pool_(config_.threads),
-      engine_(context_, pool_),
+      kernel_pool_(config_.threads),
+      scoped_kernel_pool_(kernel_pool_),
+      row_pool_(1),
+      engine_(context_, row_pool_),
       start_(std::chrono::steady_clock::now()) {
   std::printf("%s\n", title_.c_str());
 }
@@ -433,16 +420,28 @@ bool Runner::handle_list(const BenchGrid& grid) const {
   return true;
 }
 
-void Runner::note_selection(const BenchGrid& grid,
-                            const std::vector<std::int64_t>& selection) {
-  if (config_.filter.empty()) return;
-  filter_matches_ += selection.size();
-  // Collected across every grid of the run: a driver with several grids
-  // only fails when the filter misses *all* of them, and the error can
-  // then list every label the user could have matched.
-  for (std::int64_t i = 0; i < grid.rows; ++i) {
-    filter_labels_.push_back(row_label(grid, i));
+std::vector<std::vector<std::string>> Runner::compute(
+    const BenchGrid& grid, std::vector<double>* row_seconds) {
+  const std::vector<std::int64_t> selection =
+      select_rows(grid, config_.filter);
+  if (!config_.filter.empty()) {
+    filter_matches_ += selection.size();
+    // Collected across every grid of the run: a driver with several grids
+    // only fails when the filter misses *all* of them, and the error can
+    // then list every label the user could have matched.
+    for (std::int64_t i = 0; i < grid.rows; ++i) {
+      filter_labels_.push_back(row_label(grid, i));
+    }
   }
+  return run_grid(
+      with_progress(grid, static_cast<std::int64_t>(selection.size())),
+      config_.seed, row_seconds, &selection);
+}
+
+void Runner::append_csv(const BenchGrid& grid,
+                        const std::vector<std::vector<std::string>>& rows) {
+  if (!csv_.empty()) csv_ += "\n";
+  csv_ += grid_csv(grid, rows);
 }
 
 BenchGrid Runner::with_progress(const BenchGrid& grid,
@@ -451,7 +450,7 @@ BenchGrid Runner::with_progress(const BenchGrid& grid,
   BenchGrid wrapped = grid;
   auto inner = grid.cells;
   auto label = grid.label;
-  auto completed = std::make_shared<std::atomic<std::int64_t>>(0);
+  auto completed = std::make_shared<std::int64_t>(0);
   // stderr only: progress never touches stdout tables or CSV artifacts,
   // so it cannot perturb the determinism contract.
   wrapped.cells = [inner = std::move(inner), label = std::move(label),
@@ -462,7 +461,7 @@ BenchGrid Runner::with_progress(const BenchGrid& grid,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       row_start)
             .count();
-    const long long k = completed->fetch_add(1, std::memory_order_relaxed) + 1;
+    const long long k = ++*completed;
     const std::string name = label ? label(i) : "row" + std::to_string(i);
     std::fprintf(stderr, "[%lld/%lld] %s (%.3f s)\n", k,
                  static_cast<long long>(total), name.c_str(), seconds);
@@ -473,23 +472,8 @@ BenchGrid Runner::with_progress(const BenchGrid& grid,
 
 void Runner::run(const BenchGrid& grid) {
   if (handle_list(grid)) return;
-  const std::vector<std::int64_t> selection =
-      select_rows(grid, config_.filter);
-  note_selection(grid, selection);
-  const BenchGrid computed =
-      with_progress(grid, static_cast<std::int64_t>(selection.size()));
-
   std::vector<double> row_seconds;
-  std::vector<std::vector<std::string>> rows;
-  if (grid.timed) {
-    // Timed rows run serially so "Row time" measures the kernel, not
-    // contention with the other rows; results are unchanged (cells are
-    // pure in (row, seed)), only the wall-clock column is affected.
-    ThreadPool serial(1);
-    rows = run_grid(computed, serial, config_.seed, &row_seconds, &selection);
-  } else {
-    rows = run_grid(computed, pool_, config_.seed, nullptr, &selection);
-  }
+  const auto rows = compute(grid, grid.timed ? &row_seconds : nullptr);
 
   std::vector<std::string> headers = grid.columns;
   if (grid.timed) headers.push_back("Row time (s)");
@@ -503,22 +487,12 @@ void Runner::run(const BenchGrid& grid) {
   }
   std::printf("\n");
   std::fputs(table.render().c_str(), stdout);
-
-  if (!csv_.empty()) csv_ += "\n";
-  csv_ += grid_csv(grid, rows);
+  append_csv(grid, rows);
 }
 
 void Runner::run_csv_only(const BenchGrid& grid) {
   if (handle_list(grid)) return;
-  const std::vector<std::int64_t> selection =
-      select_rows(grid, config_.filter);
-  note_selection(grid, selection);
-  const BenchGrid computed =
-      with_progress(grid, static_cast<std::int64_t>(selection.size()));
-  const auto rows =
-      run_grid(computed, pool_, config_.seed, nullptr, &selection);
-  if (!csv_.empty()) csv_ += "\n";
-  csv_ += grid_csv(grid, rows);
+  append_csv(grid, compute(grid, nullptr));
 }
 
 void Runner::note(const std::string& text) {
@@ -573,7 +547,7 @@ int Runner::finish() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   std::printf("\n%.2f s on %d threads (seed %llu)",
-              elapsed, pool_.num_threads(),
+              elapsed, kernel_pool_.num_threads(),
               static_cast<unsigned long long>(config_.seed));
   for (const SweepContext::NamedStats& cache : context_.all_stats()) {
     if (cache.stats.lookups() == 0) continue;
@@ -587,7 +561,8 @@ int Runner::finish() {
 
 core::ExperimentEngine& Runner::process_engine() {
   static SweepContext context;
-  static SweepEngine engine(context, shared_pool());
+  static ThreadPool row_pool(1);
+  static SweepEngine engine(context, row_pool);
   return engine;
 }
 

@@ -1,12 +1,17 @@
 // Shared bench-runner layer: every bench/ driver is a grid definition plus
 // a row function, and this module owns everything else — CLI flags, the
-// thread pool and memo caches, deterministic per-row seeding via
+// kernel pool and memo caches, deterministic per-row seeding via
 // task_seed, and table/CSV result emission.
 //
+// One schedule: grid rows, and the engine's experiment rows, run in index
+// order on the calling thread; the parallel loops of library kernels
+// (routing, brute-force bisection, the matrix kernels) fan out on the
+// runner's kernel pool.
+//
 // Flags every driver accepts:
-//   --threads N        worker count (< 1 selects hardware concurrency);
-//                      at N > 1 the nested parallel loops of library
-//                      kernels run inline on those workers
+//   --threads N        worker count of the kernel pool (< 1 selects
+//                      hardware concurrency); scheduler sweeps run their
+//                      points on N workers
 //   --seed S           base seed of every per-row task_seed
 //   --csv PATH         append each grid to a CSV artifact
 //   --fast             drivers may skip their most expensive grid points
@@ -58,8 +63,8 @@
 
 namespace npac::sweep {
 
-/// core::ExperimentEngine backend on the sweep machinery: row loops fan
-/// out on a ThreadPool, ping-pong runs are memoized in the SweepContext,
+/// core::ExperimentEngine backend on the sweep machinery: row loops run on
+/// a ThreadPool, ping-pong runs are memoized in the SweepContext,
 /// and the context is the engine's partition oracle, so the inherited
 /// geometry and bisection hooks read its memo tables. pairing() is
 /// inherited too: its two pingpong() calls hit the routing cache, so no
@@ -128,9 +133,7 @@ struct BenchGrid {
   /// (row, seed); seed is task_seed(base_seed, row).
   std::function<std::vector<std::string>(std::int64_t, std::uint64_t)> cells;
   /// When set, Runner::run appends a wall-clock "Row time (s)" column to
-  /// the stdout table (never to the CSV — timing is not deterministic)
-  /// and executes the rows serially so each time measures the kernel
-  /// rather than contention with the other rows.
+  /// the stdout table (never to the CSV — timing is not deterministic).
   bool timed = false;
   /// Optional cheap row label for --list / --filter. Must be pure in the
   /// row index and must not trigger the row's computation. Unset rows are
@@ -146,14 +149,14 @@ std::string row_label(const BenchGrid& grid, std::int64_t row);
 std::vector<std::int64_t> select_rows(const BenchGrid& grid,
                                       const std::string& filter);
 
-/// Computes rows on the pool, in index order regardless of scheduling.
-/// When `selection` is non-null only those row indices are computed (each
-/// keeping its original task_seed), and the result holds them in selection
-/// order. When row_seconds is non-null it is resized to the computed row
-/// count and filled with each row's wall-clock (display only — never part
-/// of the CSV).
+/// Computes rows in index order on the calling thread. When `selection` is
+/// non-null only those row indices are computed (each keeping its original
+/// task_seed), and the result holds them in selection order. When
+/// row_seconds is non-null it is resized to the computed row count and
+/// filled with each row's wall-clock (display only — never part of the
+/// CSV).
 std::vector<std::vector<std::string>> run_grid(
-    const BenchGrid& grid, ThreadPool& pool, std::uint64_t base_seed,
+    const BenchGrid& grid, std::uint64_t base_seed,
     std::vector<double>* row_seconds = nullptr,
     const std::vector<std::int64_t>* selection = nullptr);
 
@@ -208,19 +211,20 @@ class Runner {
   /// run_topology_scheduler_sweep).
   SweepOptions sweep_options() const;
   SweepContext& context() { return context_; }
-  ThreadPool& pool() { return pool_; }
+  /// Row loops run in index order on the calling thread.
   core::ExperimentEngine& engine() { return engine_; }
 
-  /// Runs the grid on the pool, prints it as an aligned table, and appends
-  /// it to the CSV artifact.
+  /// Runs the grid, prints it as an aligned table, and appends it to the
+  /// CSV artifact.
   void run(const BenchGrid& grid);
   /// Runs the grid and appends it to the CSV artifact without printing —
   /// for full-resolution data whose stdout form is a separate summary.
   void run_csv_only(const BenchGrid& grid);
   /// Prints a footer paragraph (blank-line separated).
   void note(const std::string& text);
-  /// Writes the CSV artifact (if --csv), prints elapsed time, thread count
-  /// and cache statistics. Returns the process exit code.
+  /// Writes the CSV artifact (if --csv), prints elapsed time, the kernel
+  /// pool's thread count and cache statistics. Returns the process exit
+  /// code.
   int finish();
 
   /// Uniform driver entry point: constructs Runner(title, argc, argv),
@@ -229,18 +233,23 @@ class Runner {
   static int main(const std::string& title, int argc, char** argv,
                   const std::function<void(Runner&)>& body);
 
-  /// Process-wide pooled engine — one static SweepContext + SweepEngine on
-  /// shared_pool() — for callers without a Runner, e.g. test binaries
-  /// sharing memoized results across their test cases.
+  /// Process-wide engine — one static SweepContext + SweepEngine whose row
+  /// loops run in order, with kernels on shared_pool() — for callers
+  /// without a Runner, e.g. test binaries sharing memoized results across
+  /// their test cases.
   static core::ExperimentEngine& process_engine();
 
  private:
   /// Prints the grid's row labels when --list is set; true = skip the run.
   bool handle_list(const BenchGrid& grid) const;
-  /// Records how many rows the --filter matched (and the labels it could
-  /// have matched) so finish() can fail a run that selected nothing.
-  void note_selection(const BenchGrid& grid,
-                      const std::vector<std::int64_t>& selection);
+  /// Computes the rows the --filter selects, recording how many matched
+  /// (and the labels it could have matched) so finish() can fail a run
+  /// that selected nothing.
+  std::vector<std::vector<std::string>> compute(
+      const BenchGrid& grid, std::vector<double>* row_seconds);
+  /// Appends a computed grid to the CSV artifact.
+  void append_csv(const BenchGrid& grid,
+                  const std::vector<std::vector<std::string>>& rows);
   /// Wraps the grid's cell function with a stderr progress line per
   /// completed row when --progress is set; otherwise returns `grid` as-is.
   BenchGrid with_progress(const BenchGrid& grid, std::int64_t total) const;
@@ -254,7 +263,11 @@ class Runner {
   std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::ScopedRegistry> scoped_registry_;
   SweepContext context_;
-  ThreadPool pool_;
+  // --threads workers; parallel_for's pool for the Runner's lifetime.
+  ThreadPool kernel_pool_;
+  ScopedKernelPool scoped_kernel_pool_;
+  // One worker, so the engine's row loops run inline in index order.
+  ThreadPool row_pool_;
   SweepEngine engine_;
   std::string csv_;
   std::uint64_t filter_matches_ = 0;

@@ -26,7 +26,6 @@
 #include "obs/metrics.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/pool.hpp"
-#include "sweep/runner.hpp"
 
 namespace npac::sweep {
 namespace {
@@ -196,23 +195,18 @@ TEST(PoolCacheHammerTest, ExceptionsUnderContentionFailFastCleanly) {
   EXPECT_GT(started.load(), 0);
 }
 
-TEST(PoolCacheHammerTest, FailFastUnderStealingKeepsGridRowContext) {
-  // The runner-layer fail-fast contract on the stealing executor: a row
-  // that throws mid-grid — while the other workers are busy with stolen
-  // rows — must skip unclaimed rows, drain in-flight ones, and surface the
-  // *first* failing row with its label. Rows before the thrower are cheap
-  // (worker 0 reaches row 17 quickly); rows after it are expensive until
-  // the throw and then deliberately sleep, which parks every other worker
-  // and hands the CPU to the failing one so the discard flag propagates —
-  // making the skipped-work assertion robust on a loaded 1-CPU machine.
-  BenchGrid grid;
-  grid.columns = {"X"};
-  grid.rows = 96;
-  grid.label = [](std::int64_t i) { return "case" + std::to_string(i); };
+TEST(PoolCacheHammerTest, FailFastUnderStealingSkipsUnclaimedWork) {
+  // The fail-fast contract on the stealing executor: a task that throws
+  // mid-run — while the other workers are busy with stolen chunks — must
+  // skip unclaimed tasks, drain in-flight ones, and surface its error.
+  // Tasks before the thrower are cheap (worker 0 reaches task 17
+  // quickly); tasks after it are expensive until the throw and then
+  // deliberately sleep, which parks every other worker and hands the CPU
+  // to the failing one so the discard flag propagates — making the
+  // skipped-work assertion robust on a loaded 1-CPU machine.
   std::atomic<int> ran{0};
   std::atomic<bool> thrown{false};
-  grid.cells = [&](std::int64_t i,
-                   std::uint64_t) -> std::vector<std::string> {
+  const auto task = [&](std::int64_t i) {
     ran.fetch_add(1, std::memory_order_relaxed);
     if (i == 17) {
       thrown.store(true, std::memory_order_release);
@@ -225,24 +219,20 @@ TEST(PoolCacheHammerTest, FailFastUnderStealingKeepsGridRowContext) {
         (void)skewed_spin(0);  // the heavy branch: keep thieves occupied
       }
     }
-    return {std::to_string(i)};
   };
   for (const int threads : {2, 7}) {
     ran.store(0);
     thrown.store(false);
     ThreadPool pool(threads);
     try {
-      run_grid(grid, pool, 42);
-      FAIL() << "expected the failing row's exception to propagate";
+      pool.run_indexed(96, task);
+      FAIL() << "expected the failing task's exception to propagate";
     } catch (const std::runtime_error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("grid row 17 ('case17')"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("boom"), std::string::npos) << what;
+      EXPECT_STREQ(error.what(), "boom");
     }
-    // Fail fast actually skipped work: the 96-row grid must not have run
+    // Fail fast actually skipped work: the 96-task run must not have run
     // to completion (the margin tolerates every worker draining one
-    // in-flight row plus a few claimed in the discard-propagation window).
+    // in-flight task plus a few claimed in the discard-propagation window).
     EXPECT_LT(ran.load(), 90) << "threads=" << threads;
     EXPECT_GE(ran.load(), 1) << "threads=" << threads;
   }

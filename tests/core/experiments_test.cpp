@@ -3,11 +3,11 @@
 // scale by the integration suite; here we validate their structure on the
 // smallest configurations.
 //
-// Every call goes through one shared sweep engine (memoized caches + a
-// hardware-sized thread pool), so results repeated across test cases —
-// the JUQUEEN/Sequoia enumerations, the Table 5 machine comparison — are
-// computed once. Engine results are asserted identical to the serial path
-// in tests/sweep/runner_test.cpp.
+// Every call goes through one shared sweep engine (memoized caches, rows
+// in order, kernels on the shared pool), so results repeated across test
+// cases — the JUQUEEN/Sequoia enumerations, the Table 5 machine
+// comparison — are computed once. Engine results are asserted identical
+// to the serial path in tests/sweep/runner_test.cpp.
 #include "core/experiments.hpp"
 
 #include <gtest/gtest.h>

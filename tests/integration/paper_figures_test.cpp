@@ -4,9 +4,9 @@
 //
 // Every experiment call goes through one shared sweep engine: pairing and
 // CAPS results repeated across test cases are computed once (the caches
-// are keyed, pure functions), and row loops fan out on a hardware-sized
-// thread pool. Engine results are asserted identical to the serial path in
-// tests/sweep/runner_test.cpp.
+// are keyed, pure functions), rows run in order, and routing fans out on
+// the hardware-sized shared pool. Engine results are asserted identical to
+// the serial path in tests/sweep/runner_test.cpp.
 #include <gtest/gtest.h>
 
 #include "core/experiments.hpp"

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace npac::obs {
 namespace {
@@ -52,6 +53,28 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("\"unterminated"), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("1 2"), std::invalid_argument);  // trailing
+}
+
+TEST(JsonTest, NestingIsCappedAt512Levels) {
+  // 512 nested arrays still parse.
+  const std::string deepest = std::string(512, '[') + std::string(512, ']');
+  EXPECT_TRUE(JsonValue::parse(deepest).is_array());
+  // A run of brackets far past the cap throws at the first bracket too
+  // deep instead of recursing until the stack overflows.
+  for (const std::string& hostile :
+       {std::string(100000, '['), std::string(513, '[') + std::string(513, ']')}) {
+    try {
+      JsonValue::parse(hostile);
+      ADD_FAILURE() << "nesting past the cap was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("at byte 512"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(JsonValue::parse(objects), std::invalid_argument);
 }
 
 TEST(JsonTest, KindMismatchThrows) {

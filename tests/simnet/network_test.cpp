@@ -42,12 +42,6 @@ TEST(LinkLoadsTest, MaxLoadInDim) {
   EXPECT_DOUBLE_EQ(loads.max_load_in_dim(1), 7.0);
 }
 
-TEST(LinkLoadsTest, AddRequiresSameShape) {
-  LinkLoads a(2, 1);
-  LinkLoads b(3, 1);
-  EXPECT_THROW(a.add(b), std::invalid_argument);
-}
-
 TEST(NetworkTest, ShortWayAroundTheRing) {
   const auto net = ring(8);
   LinkLoads loads(8, 1);

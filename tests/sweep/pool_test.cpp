@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -277,6 +278,42 @@ TEST(ParallelForTest, NestedInATaskOfASingleWorkerRunUsesTheSharedPool) {
     });
   });
   for (const auto& count : counts) EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ParallelForTest, RunsOnTheInstalledKernelPoolUntilTheScopeEnds) {
+  // A loop runs on pool P exactly when P is mid-run inside it.
+  const auto runs_on = [](ThreadPool& pool) {
+    std::atomic<bool> busy{true};
+    parallel_for(4, [&](std::int64_t) {
+      if (pool.try_run_indexed(1, [](std::int64_t) {})) busy.store(false);
+    });
+    return busy.load();
+  };
+  ThreadPool outer(3);
+  ThreadPool inner(1);
+  {
+    ScopedKernelPool outer_scope(outer);
+    EXPECT_TRUE(runs_on(outer));
+    {
+      // A one-worker pool runs the loop inline, in index order.
+      ScopedKernelPool inner_scope(inner);
+      const auto caller = std::this_thread::get_id();
+      std::vector<std::int64_t> order;
+      parallel_for(64, [&](std::int64_t i) {
+        if (std::this_thread::get_id() == caller) order.push_back(i);
+      });
+      ASSERT_EQ(order.size(), 64u);
+      for (std::int64_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+      }
+      EXPECT_FALSE(runs_on(outer));
+    }
+    EXPECT_TRUE(runs_on(outer));
+  }
+  EXPECT_FALSE(runs_on(outer));
+  if (shared_pool().num_threads() > 1) {
+    EXPECT_TRUE(runs_on(shared_pool()));
+  }
 }
 
 TEST(ParallelForTest, ErrorsPropagateAndTheSharedPoolStaysUsable) {

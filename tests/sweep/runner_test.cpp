@@ -14,7 +14,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -89,8 +91,7 @@ TEST(RunnerGridTest, RowsComputeInIndexOrderWithTaskSeeds) {
   grid.cells = [](std::int64_t i, std::uint64_t seed) {
     return std::vector<std::string>{std::to_string(i), std::to_string(seed)};
   };
-  ThreadPool pool(4);
-  const auto rows = run_grid(grid, pool, 99);
+  const auto rows = run_grid(grid, 99);
   ASSERT_EQ(rows.size(), 16u);
   for (std::int64_t i = 0; i < 16; ++i) {
     EXPECT_EQ(rows[static_cast<std::size_t>(i)][0], std::to_string(i));
@@ -106,8 +107,7 @@ TEST(RunnerGridTest, CsvRendersHeaderAndRows) {
   grid.cells = [](std::int64_t i, std::uint64_t) {
     return std::vector<std::string>{std::to_string(i), "x"};
   };
-  ThreadPool pool(1);
-  EXPECT_EQ(grid_csv(grid, run_grid(grid, pool, 0)), "A,B\n0,x\n1,x\n");
+  EXPECT_EQ(grid_csv(grid, run_grid(grid, 0)), "A,B\n0,x\n1,x\n");
   // RFC 4180: cells holding a comma, quote or newline are quoted, with
   // embedded quotes doubled.
   grid.columns = {"P,Q", "B"};
@@ -115,7 +115,7 @@ TEST(RunnerGridTest, CsvRendersHeaderAndRows) {
   grid.cells = [](std::int64_t, std::uint64_t) {
     return std::vector<std::string>{"say \"hi\"", "a\nb"};
   };
-  EXPECT_EQ(grid_csv(grid, run_grid(grid, pool, 0)),
+  EXPECT_EQ(grid_csv(grid, run_grid(grid, 0)),
             "\"P,Q\",B\n\"say \"\"hi\"\"\",\"a\nb\"\n");
 }
 
@@ -195,7 +195,7 @@ std::string fig4_driver_csv(int threads) {
   SweepEngine engine(context, pool);
   const auto grid =
       pairing_grid(core::fig4_juqueen_pairing(fast_pingpong(), &engine));
-  return grid_csv(grid, run_grid(grid, pool, 42));
+  return grid_csv(grid, run_grid(grid, 42));
 }
 
 TEST(RunnerDeterminismTest, Fig4PairingCsvByteIdenticalAcrossThreadCounts) {
@@ -209,7 +209,7 @@ std::string table5_driver_csv(int threads) {
   ThreadPool pool(threads);
   SweepEngine engine(context, pool);
   const auto grid = machine_design_grid(core::table5_rows(&engine));
-  return grid_csv(grid, run_grid(grid, pool, 42));
+  return grid_csv(grid, run_grid(grid, 42));
 }
 
 TEST(RunnerDeterminismTest,
@@ -255,9 +255,8 @@ TEST(RunnerGridTest, FilteredRowsKeepTheirOriginalSeeds) {
   grid.cells = [](std::int64_t i, std::uint64_t seed) {
     return std::vector<std::string>{std::to_string(i), std::to_string(seed)};
   };
-  ThreadPool pool(2);
   const std::vector<std::int64_t> selection = {1, 6};
-  const auto rows = run_grid(grid, pool, 99, nullptr, &selection);
+  const auto rows = run_grid(grid, 99, nullptr, &selection);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0], "1");
   EXPECT_EQ(rows[0][1], std::to_string(task_seed(99, 1)));
@@ -270,7 +269,7 @@ std::string table7_driver_csv(int threads) {
   ThreadPool pool(threads);
   SweepEngine engine(context, pool);
   const auto grid = best_worst_grid(core::juqueen_rows(&engine));
-  return grid_csv(grid, run_grid(grid, pool, 42));
+  return grid_csv(grid, run_grid(grid, 42));
 }
 
 TEST(RunnerDeterminismTest, Table7BestWorstCsvByteIdenticalAcrossThreadCounts) {
@@ -282,7 +281,7 @@ std::string ext_topologies_driver_csv(int threads) {
   ThreadPool pool(threads);
   SweepEngine engine(context, pool);
   const auto grid = topology_design_grid(engine, /*fast=*/true);
-  return grid_csv(grid, run_grid(grid, pool, 42));
+  return grid_csv(grid, run_grid(grid, 42));
 }
 
 TEST(RunnerDeterminismTest,
@@ -388,19 +387,22 @@ TEST(RunnerGridTest, FailingRowErrorNamesGridRowAndLabel) {
   grid.columns = {"X"};
   grid.rows = 4;
   grid.label = [](std::int64_t i) { return "case" + std::to_string(i); };
-  grid.cells = [](std::int64_t i, std::uint64_t) -> std::vector<std::string> {
+  int ran = 0;
+  grid.cells = [&ran](std::int64_t i,
+                      std::uint64_t) -> std::vector<std::string> {
+    ++ran;
     if (i == 2) throw std::runtime_error("boom");
     return {std::to_string(i)};
   };
-  ThreadPool pool(2);
   try {
-    run_grid(grid, pool, 42);
+    run_grid(grid, 42);
     FAIL() << "expected the failing row's exception to propagate";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("grid row 2 ('case2')"), std::string::npos) << what;
     EXPECT_NE(what.find("boom"), std::string::npos) << what;
   }
+  EXPECT_EQ(ran, 3) << "rows after the failing row must not run";
 }
 
 namespace {
@@ -441,13 +443,20 @@ TEST(RunnerMainTest, WritesMetricsAndTraceArtifacts) {
   const std::string trace_flag = "--trace-out=" + trace_path;
   const char* argv[] = {"bench", "--threads", "2", metrics_flag.c_str(),
                         trace_flag.c_str()};
-  const int code =
-      Runner::main("artifact test", 5, const_cast<char**>(argv),
-                   [](Runner& runner) { runner.run(labeled_demo_grid()); });
+  // Each row runs one 8-index kernel loop, which fans out on the
+  // runner's 2-worker kernel pool.
+  BenchGrid grid = labeled_demo_grid();
+  grid.cells = [](std::int64_t i, std::uint64_t) {
+    parallel_for(8, [](std::int64_t) {});
+    return std::vector<std::string>{std::to_string(i)};
+  };
+  const int code = Runner::main("artifact test", 5, const_cast<char**>(argv),
+                                [&](Runner& runner) { runner.run(grid); });
   EXPECT_EQ(code, 0);
 
   const obs::JsonValue metrics = obs::JsonValue::parse(slurp(metrics_path));
-  EXPECT_EQ(metrics.at("counters").at("pool.tasks").number(), 3.0);
+  EXPECT_EQ(metrics.at("counters").at("pool.tasks").number(), 24.0);
+  EXPECT_EQ(metrics.at("gauges").at("pool.workers").number(), 2.0);
   EXPECT_TRUE(metrics.contains("histograms"));
 
   const obs::JsonValue trace = obs::JsonValue::parse(slurp(trace_path));
@@ -469,6 +478,81 @@ TEST(RunnerMainTest, FooterReportsEveryCacheTheRunUsed) {
   EXPECT_EQ(code, 0);
   const std::string footer = out.substr(out.rfind(" s on "));
   EXPECT_NE(footer.find("; topologies "), std::string::npos) << footer;
+}
+
+TEST(RunnerMainTest, FooterReportsTheKernelPoolThreadCount) {
+  const char* argv[] = {"bench", "--threads", "3"};
+  ::testing::internal::CaptureStdout();
+  const int code =
+      Runner::main("footer test", 3, const_cast<char**>(argv),
+                   [](Runner& runner) { runner.run(labeled_demo_grid()); });
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 0);
+  EXPECT_NE(out.find(" s on 3 threads (seed 42)"), std::string::npos) << out;
+}
+
+TEST(RunnerMainTest, RowsRunInOrderOnTheCallingThreadAtFourThreads) {
+  // --threads sizes the kernel pool only: every grid cell and every row
+  // of an engine loop runs on the calling thread, in index order.
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = true;
+  std::vector<std::int64_t> cells;
+  std::vector<std::int64_t> engine_rows;
+  BenchGrid grid;
+  grid.columns = {"X"};
+  grid.rows = 12;
+  grid.timed = true;
+  grid.cells = [&](std::int64_t i, std::uint64_t) {
+    cells.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    return std::vector<std::string>{std::to_string(i)};
+  };
+  const char* argv[] = {"bench", "--threads", "4"};
+  ::testing::internal::CaptureStdout();
+  const int code = Runner::main(
+      "order test", 3, const_cast<char**>(argv), [&](Runner& runner) {
+        runner.run(grid);
+        runner.run_csv_only(grid);
+        runner.engine().parallel_for(12, [&](std::int64_t i) {
+          engine_rows.push_back(i);
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+        });
+      });
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 0);
+  EXPECT_TRUE(on_caller);
+  std::vector<std::int64_t> expected;
+  for (std::int64_t i = 0; i < 12; ++i) expected.push_back(i);
+  EXPECT_EQ(engine_rows, expected);
+  expected.insert(expected.end(), expected.begin(), expected.end());
+  EXPECT_EQ(cells, expected);
+}
+
+TEST(RunnerMainTest, OneThreadRunsKernelLoopsOnTheCallingThread) {
+  // --threads 1 means one thread: a kernel loop inside a cell runs every
+  // index inline, in order, although shared_pool() may have more workers.
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = true;
+  std::vector<std::int64_t> indices;
+  BenchGrid grid = labeled_demo_grid();
+  grid.cells = [&](std::int64_t i, std::uint64_t) {
+    parallel_for(64, [&](std::int64_t k) {
+      indices.push_back(k);
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+    return std::vector<std::string>{std::to_string(i)};
+  };
+  const char* argv[] = {"bench", "--threads", "1"};
+  ::testing::internal::CaptureStdout();
+  const int code = Runner::main("inline test", 3, const_cast<char**>(argv),
+                                [&](Runner& runner) { runner.run(grid); });
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 0);
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(indices.size(), 3u * 64u);
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    EXPECT_EQ(indices[k], static_cast<std::int64_t>(k % 64));
+  }
 }
 
 }  // namespace
