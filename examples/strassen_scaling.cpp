@@ -1,46 +1,20 @@
 // strassen_scaling — Experiment C (the strong-scaling illusion) as a
-// self-contained demo, plus a real shared-memory Strassen-Winograd run so
-// the kernel itself is exercised, not just its communication model.
+// self-contained demo.
 //
-// Usage:  strassen_scaling [n]    (default n = 512 for the local kernel)
+// Usage:  strassen_scaling
 //
-// Part 1 multiplies two n x n matrices with the parallel Strassen-Winograd
-// kernel and checks the result against classical GEMM.
-// Part 2 replays the paper's Figure 6: CAPS communication time on 2/4/8
-// Mira midplanes under the current vs proposed partition geometries.
-#include <chrono>
+// Replays the paper's Figure 6: CAPS communication time on 2/4/8 Mira
+// midplanes under the current vs proposed partition geometries, then
+// profiles one 4-midplane run phase by phase on both geometries.
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiments.hpp"
 #include "core/report.hpp"
-#include "strassen/winograd.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace npac;
-  using Clock = std::chrono::steady_clock;
 
-  const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 512;
-
-  // Part 1: the actual kernel.
-  std::printf("— Strassen-Winograd kernel, n = %lld —\n",
-              static_cast<long long>(n));
-  const auto a = strassen::Matrix::random(n, n, 1);
-  const auto b = strassen::Matrix::random(n, n, 2);
-  auto t0 = Clock::now();
-  const auto fast = strassen::strassen_winograd(a, b);
-  auto t1 = Clock::now();
-  const auto reference = strassen::classical_multiply(a, b);
-  auto t2 = Clock::now();
-  const double fast_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double classical_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  std::printf("  strassen: %.1f ms, classical: %.1f ms, max |diff| = %.2e\n\n",
-              fast_ms, classical_ms,
-              strassen::Matrix::max_abs_diff(fast, reference));
-
-  // Part 2: the strong-scaling illusion (paper Figure 6, n = 9408).
+  // The strong-scaling illusion (paper Figure 6, n = 9408).
   std::printf("— CAPS strong scaling on Mira (simulated), n = 9408 —\n");
   core::TextTable table({"Midplanes", "Ranks", "Comm current (ms)",
                          "Comm proposed (ms)", "Current BW", "Proposed BW"});

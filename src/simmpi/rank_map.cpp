@@ -1,9 +1,10 @@
 #include "simmpi/rank_map.hpp"
 
-#include <algorithm>
 #include <numeric>
-#include <random>
 #include <stdexcept>
+#include <utility>
+
+#include "sweep/pool.hpp"
 
 namespace npac::simmpi {
 
@@ -40,8 +41,15 @@ RankMap RankMap::with_mapping(std::int64_t num_ranks, std::int64_t num_nodes,
       break;
     }
     case MappingStrategy::kRandom: {
-      std::mt19937_64 rng(seed);
-      std::shuffle(order.begin(), order.end(), rng);
+      // Inline Fisher-Yates on task_seed draws: std::shuffle's permutation
+      // is implementation-defined, so it would differ between standard
+      // libraries.
+      for (std::int64_t i = num_nodes - 1; i > 0; --i) {
+        const auto j = static_cast<std::int64_t>(
+            sweep::task_seed(seed, i) % static_cast<std::uint64_t>(i + 1));
+        std::swap(order[static_cast<std::size_t>(i)],
+                  order[static_cast<std::size_t>(j)]);
+      }
       break;
     }
   }

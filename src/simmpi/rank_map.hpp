@@ -25,7 +25,8 @@ enum class MappingStrategy {
   kBlocked,  ///< slot i -> node i (ABCDE order; the Blue Gene/Q default)
   kStrided,  ///< slot i -> (i * stride) mod N, scattering consecutive
              ///< ranks far apart
-  kRandom,   ///< seeded uniform shuffle of the node ids
+  kRandom,   ///< seeded Fisher-Yates shuffle of the node ids, drawn
+             ///< from sweep::task_seed (the same on every toolchain)
 };
 
 class RankMap {

@@ -1,7 +1,5 @@
 #include "strassen/caps.hpp"
 
-#include "strassen/winograd.hpp"
-
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -12,10 +10,15 @@ namespace {
 
 constexpr double kBytesPerElement = 8.0;  // double precision
 
-std::int64_t pow7(int k) {
-  std::int64_t value = 1;
-  for (int i = 0; i < k; ++i) value *= 7;
-  return value;
+// Whether factor^times divides `value` (value >= 1, factor >= 2). Divides
+// the value down instead of building the power, which overflows int64 for
+// exponents the check must still reject (7^23 > 2^63).
+bool divisible_by_power(std::int64_t value, std::int64_t factor, int times) {
+  for (int i = 0; i < times; ++i) {
+    if (value % factor != 0) return false;
+    value /= factor;
+  }
+  return true;
 }
 
 void check_params(const CapsParams& params) {
@@ -48,11 +51,11 @@ std::optional<RankFactorization> factor_ranks(std::int64_t ranks,
 
 bool caps_dimension_ok(std::int64_t n, std::int64_t f, int k, int r) {
   if (n < 1 || f < 1 || k < 0 || r < 0) return false;
-  std::int64_t granule = f;
-  for (int i = 0; i < r; ++i) granule *= 2;
-  const int half_up = (k + 1) / 2;  // ceil(k / 2)
-  granule *= pow7(half_up);
-  return n % granule == 0;
+  if (n % f != 0) return false;
+  const std::int64_t rest = n / f;
+  const int half_up = k / 2 + k % 2;  // ceil(k / 2); k + 1 may overflow
+  return divisible_by_power(rest, 2, r) &&
+         divisible_by_power(rest, 7, half_up);
 }
 
 double caps_scatter_bytes_per_rank(const CapsParams& params, int step) {
@@ -92,7 +95,7 @@ double simulate_caps_communication(const simmpi::Communicator& comm,
     throw std::invalid_argument(
         "simulate_caps_communication: communicator size != params.ranks");
   }
-  if (params.bfs_steps > 0 && params.ranks % pow7(params.bfs_steps) != 0) {
+  if (!divisible_by_power(params.ranks, 7, params.bfs_steps)) {
     throw std::invalid_argument(
         "simulate_caps_communication: ranks must be divisible by 7^bfs_steps");
   }
@@ -110,8 +113,8 @@ double simulate_caps_communication(const simmpi::Communicator& comm,
   // of re-routing ~|nodes|^2 flows per phase.
   std::vector<simmpi::PhaseRecord> scatter_records;
   scatter_records.reserve(static_cast<std::size_t>(params.bfs_steps));
-  for (int step = 0; step < params.bfs_steps; ++step) {
-    const std::int64_t group = params.ranks / pow7(step);
+  std::int64_t group = params.ranks;  // ranks / 7^step
+  for (int step = 0; step < params.bfs_steps; ++step, group /= 7) {
     const auto flows = comm.alltoall_in_groups(
         group, caps_scatter_bytes_per_rank(params, step));
     total_seconds += comm.run_phase(
@@ -135,17 +138,6 @@ double simulate_caps_communication(const simmpi::Communicator& comm,
     sink.add(std::move(record));
   }
   return total_seconds;
-}
-
-double caps_computation_seconds(const CapsParams& params,
-                                double flops_per_rank_per_second) {
-  check_params(params);
-  if (flops_per_rank_per_second <= 0.0) {
-    throw std::invalid_argument(
-        "caps_computation_seconds: rate must be positive");
-  }
-  return strassen_flops(params.n, params.bfs_steps) /
-         (static_cast<double>(params.ranks) * flops_per_rank_per_second);
 }
 
 std::vector<MatmulExperimentRow> table3_parameters() {

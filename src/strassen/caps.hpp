@@ -66,12 +66,6 @@ double simulate_caps_communication(const simmpi::Communicator& comm,
                                    const CapsParams& params,
                                    simmpi::Timeline* timeline = nullptr);
 
-/// Modeled computation time: strassen_flops(n, bfs_steps) spread over
-/// `ranks` cores at `flops_per_rank_per_second`. The paper measured
-/// geometry-independent computation times, so a rate model suffices.
-double caps_computation_seconds(const CapsParams& params,
-                                double flops_per_rank_per_second);
-
 /// Rows of the paper's Table 3 (matrix multiplication experiment on Mira).
 struct MatmulExperimentRow {
   std::int64_t nodes = 0;

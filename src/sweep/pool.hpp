@@ -24,12 +24,11 @@
 //    or scheduling order, so a sweep with threads=N is bit-identical to
 //    threads=1 no matter who stole what;
 //  * one runtime: library kernels (torus and graph routing, brute-force
-//    bisection, the matrix kernels) parallelize through parallel_for on
-//    one pool — the installed kernel pool (ScopedKernelPool; the bench
-//    runner installs its --threads-sized pool) or else the process-wide
-//    shared_pool() — and a loop nested inside a task of a multi-worker
-//    run executes inline, so nested parallelism never oversubscribes the
-//    cores.
+//    bisection) parallelize through parallel_for on one pool — the
+//    installed kernel pool (ScopedKernelPool; the bench runner installs
+//    its --threads-sized pool) or else the process-wide shared_pool() —
+//    and a loop nested inside a task of a multi-worker run executes
+//    inline, so nested parallelism never oversubscribes the cores.
 #pragma once
 
 #include <array>

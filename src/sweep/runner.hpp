@@ -5,8 +5,7 @@
 //
 // One schedule: grid rows, and the engine's experiment rows, run in index
 // order on the calling thread; the parallel loops of library kernels
-// (routing, brute-force bisection, the matrix kernels) fan out on the
-// runner's kernel pool.
+// (routing, brute-force bisection) fan out on the runner's kernel pool.
 //
 // Flags every driver accepts:
 //   --threads N        worker count of the kernel pool (< 1 selects

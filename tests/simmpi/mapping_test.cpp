@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "simmpi/communicator.hpp"
 #include "strassen/caps.hpp"
@@ -72,6 +73,17 @@ TEST(MappingTest, RandomIsSeededAndBijective) {
   }
   EXPECT_EQ(nodes.size(), 64u);
   EXPECT_TRUE(differs);
+}
+
+TEST(MappingTest, RandomPermutationIsPinned) {
+  // Fisher-Yates over sweep::task_seed(5, i): the permutation is a pure
+  // function of the seed, the same under every standard library.
+  const auto map = RankMap::with_mapping(8, 8, MappingStrategy::kRandom, 5);
+  const std::vector<topo::VertexId> expected = {7, 0, 2, 5, 6, 4, 1, 3};
+  for (std::int64_t rank = 0; rank < 8; ++rank) {
+    EXPECT_EQ(map.node_of(rank), expected[static_cast<std::size_t>(rank)])
+        << "rank " << rank;
+  }
 }
 
 TEST(MappingTest, GroupedAllToAllConservesVolumeUnderAnyMapping) {

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "simmpi/communicator.hpp"
-#include "strassen/matrix.hpp"
 
 namespace npac::strassen {
 namespace {
@@ -61,6 +60,10 @@ TEST(CapsDimensionTest, PaperStrongScalingSize) {
   EXPECT_FALSE(caps_dimension_ok(9408, 1, 4, 7));
   EXPECT_FALSE(caps_dimension_ok(9409, 1, 4, 0));
   EXPECT_FALSE(caps_dimension_ok(0, 1, 1, 1));
+  // Granules of 2^70 and 7^35 do not fit in int64: the check must say no
+  // without building them.
+  EXPECT_FALSE(caps_dimension_ok(9408, 1, 4, 70));
+  EXPECT_FALSE(caps_dimension_ok(9408, 1, 70, 0));
 }
 
 TEST(CapsVolumeTest, ScatterShrinksGeometrically) {
@@ -134,6 +137,12 @@ TEST(CapsSimulationTest, RanksMustBeDivisibleBySevenPowers) {
   const CapsParams params{64, 16, 1};  // 16 not divisible by 7
   EXPECT_THROW(simulate_caps_communication(comm, params),
                std::invalid_argument);
+  // 49 = 7^2 ranks admit two BFS steps, not forty. 7^40 does not fit in
+  // int64, so the check must not build it.
+  const simmpi::Communicator comm49(&net, simmpi::RankMap(49, 16));
+  const CapsParams deep{112, 49, 40};
+  EXPECT_THROW(simulate_caps_communication(comm49, deep),
+               std::invalid_argument);
 }
 
 TEST(CapsSimulationTest, BetterGeometryIsFaster) {
@@ -151,13 +160,6 @@ TEST(CapsSimulationTest, BetterGeometryIsFaster) {
     seconds[i++] = simulate_caps_communication(comm, params);
   }
   EXPECT_GT(seconds[0], seconds[1]);
-}
-
-TEST(CapsComputationTest, RateModel) {
-  const CapsParams params{64, 8, 0};
-  const double expected = classical_flops(64, 64, 64) / (8.0 * 1e9);
-  EXPECT_DOUBLE_EQ(caps_computation_seconds(params, 1e9), expected);
-  EXPECT_THROW(caps_computation_seconds(params, 0.0), std::invalid_argument);
 }
 
 TEST(CapsTablesTest, TableThreeRows) {
