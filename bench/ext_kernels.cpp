@@ -8,9 +8,7 @@
 //
 // Runs on the src/sweep bench runner: the per-pair sensitivity analyses
 // run in order and their routing fans out on the kernel pool (--threads N,
-// --seed S, --csv PATH). Rows are labelled mp4 / mp8 / mp24 for --filter;
-// --fast drops the 24-midplane pair, which takes nearly all of the run
-// time.
+// --seed S, --csv PATH). Rows are labelled mp4 / mp8 / mp24 for --filter.
 #include "apps/kernels.hpp"
 #include "sweep/runner.hpp"
 
@@ -25,7 +23,7 @@ int main(int argc, char** argv) {
           bgq::Geometry worse;
           bgq::Geometry better;
         };
-        std::vector<Pair> pairs = {
+        const std::vector<Pair> pairs = {
             {"4 mp: 4x1x1x1 vs 2x2x1x1", bgq::Geometry(4, 1, 1, 1),
              bgq::Geometry(2, 2, 1, 1)},
             {"8 mp: 4x2x1x1 vs 2x2x2x1", bgq::Geometry(4, 2, 1, 1),
@@ -33,7 +31,6 @@ int main(int argc, char** argv) {
             {"24 mp: 4x3x2x1 vs 3x2x2x2", bgq::Geometry(4, 3, 2, 1),
              bgq::Geometry(3, 2, 2, 2)},
         };
-        if (runner.fast()) pairs.pop_back();
 
         sweep::BenchGrid grid;
         grid.columns = {"Pair", "Bisection ratio", "N-body", "FFT", "Halo"};

@@ -21,11 +21,12 @@ double simulate_nbody_communication(const simmpi::Communicator& comm,
   const double bytes_per_rank =
       static_cast<double>(params.bodies) /
       static_cast<double>(comm.size()) * params.bytes_per_body;
-  const auto flows = comm.alltoall_in_groups(comm.size(), bytes_per_rank);
+  const auto exchange = comm.group_alltoall(comm.size(), bytes_per_rank);
 
   double total = 0.0;
   for (int step = 0; step < params.steps; ++step) {
-    total += comm.run_phase("nbody:step" + std::to_string(step), flows, sink);
+    total +=
+        comm.run_phase("nbody:step" + std::to_string(step), exchange, sink);
   }
   return total;
 }

@@ -420,17 +420,16 @@ std::vector<Point> caps_points(const char* figure,
 
 }  // namespace
 
-std::vector<MatmulComparison> fig5_matmul(bool include_24_midplanes,
-                                          int bfs_steps,
+std::vector<MatmulComparison> fig5_matmul(int bfs_steps,
                                           ExperimentEngine* engine) {
-  std::vector<CapsCase> cases = {
-      {4, 31213, 32928, 0.554},
-      {8, 31213, 32928, 0.5115},
-      {16, 31213, 32928, 0.4965},
-  };
-  if (include_24_midplanes) cases.push_back({24, 117649, 21952, 0.0604});
-  auto result = caps_points<MatmulComparison>("fig5", cases, bfs_steps,
-                                              resolve(engine));
+  auto result = caps_points<MatmulComparison>("fig5",
+                                              {
+                                                  {4, 31213, 32928, 0.554},
+                                                  {8, 31213, 32928, 0.5115},
+                                                  {16, 31213, 32928, 0.4965},
+                                                  {24, 117649, 21952, 0.0604},
+                                              },
+                                              bfs_steps, resolve(engine));
   for (MatmulComparison& cmp : result) {
     cmp.comm_speedup = cmp.current_comm_seconds / cmp.proposed_comm_seconds;
   }

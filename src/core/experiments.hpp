@@ -251,11 +251,8 @@ struct MatmulComparison {
 double caps_comm_seconds(const bgq::Geometry& geometry,
                          const strassen::CapsParams& params);
 
-/// Figure 5 / Table 3: Mira, 4/8/16/24 midplanes. The 24-midplane case
-/// routes ~1.5e8 node flows per phase; pass include_24_midplanes = false
-/// for a quick run.
-std::vector<MatmulComparison> fig5_matmul(bool include_24_midplanes = true,
-                                          int bfs_steps = 4,
+/// Figure 5 / Table 3: Mira, 4/8/16/24 midplanes.
+std::vector<MatmulComparison> fig5_matmul(int bfs_steps = 4,
                                           ExperimentEngine* engine = nullptr);
 
 // ---------------------------------------------------------------------------

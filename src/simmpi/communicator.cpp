@@ -24,60 +24,69 @@ Communicator::Communicator(const simnet::Network* network, RankMap map)
   }
 }
 
-double Communicator::run_phase(const std::string& label,
-                               const std::vector<simnet::Flow>& flows,
-                               Timeline& timeline) const {
-  const simnet::LinkLoads loads = network_->route_all(flows);
+namespace {
+
+double record_phase(const std::string& label, const simnet::LinkLoads& loads,
+                    double seconds, double total_bytes, Timeline& timeline) {
   PhaseRecord record;
   record.label = label;
-  record.seconds = network_->completion_seconds(loads, flows);
+  record.seconds = seconds;
   record.max_channel_bytes = loads.max_load();
-  for (const simnet::Flow& flow : flows) {
-    if (flow.src != flow.dst) record.total_bytes += flow.bytes;
-  }
-  const double seconds = record.seconds;
+  record.total_bytes = total_bytes;
   timeline.add(std::move(record));
   return seconds;
 }
 
-std::vector<simnet::Flow> Communicator::alltoall_in_groups(
+}  // namespace
+
+double Communicator::run_phase(const std::string& label,
+                               const std::vector<simnet::Flow>& flows,
+                               Timeline& timeline) const {
+  const simnet::LinkLoads loads = network_->route_all(flows);
+  double total_bytes = 0.0;
+  for (const simnet::Flow& flow : flows) {
+    if (flow.src != flow.dst) total_bytes += flow.bytes;
+  }
+  return record_phase(label, loads, network_->completion_seconds(loads, flows),
+                      total_bytes, timeline);
+}
+
+double Communicator::run_phase(const std::string& label,
+                               const simnet::GroupExchange& exchange,
+                               Timeline& timeline) const {
+  const simnet::LinkLoads loads = network_->route_exchange(exchange);
+  return record_phase(label, loads,
+                      network_->exchange_seconds(loads, exchange),
+                      exchange.total_bytes(), timeline);
+}
+
+simnet::GroupExchange Communicator::group_alltoall(
     std::int64_t group_size, double bytes_per_rank) const {
   const std::int64_t ranks = map_.num_ranks();
   if (group_size < 1 || ranks % group_size != 0) {
     throw std::invalid_argument(
-        "alltoall_in_groups: group size must divide the rank count");
+        "group_alltoall: group size must divide the rank count");
   }
-  if (group_size == 1) return {};
-  const double per_peer = bytes_per_rank / static_cast<double>(group_size - 1);
-
-  std::vector<simnet::Flow> flows;
-  // Mapping-agnostic: collect how many of the group's ranks each node
-  // hosts (ranks of one node are contiguous, so walk the group in
-  // node-sized chunks), then emit one flow per ordered node pair.
-  std::vector<std::pair<topo::VertexId, std::int64_t>> counts;
+  simnet::GroupExchange exchange;
+  if (group_size == 1) return exchange;
+  exchange.bytes_per_pair = bytes_per_rank / static_cast<double>(group_size - 1);
+  // Mapping-agnostic: the ranks of one node are contiguous, so walk each
+  // group in node-sized chunks, one member per node it touches.
   for (std::int64_t group_first = 0; group_first < ranks;
        group_first += group_size) {
     const std::int64_t group_last = group_first + group_size - 1;
-    counts.clear();
     std::int64_t rank = group_first;
     while (rank <= group_last) {
       const topo::VertexId node = map_.node_of(rank);
       const std::int64_t node_last =
           map_.first_rank_on(node) + map_.ranks_on(node) - 1;
       const std::int64_t chunk_last = std::min(group_last, node_last);
-      counts.emplace_back(node, chunk_last - rank + 1);
+      exchange.members.push_back({node, chunk_last - rank + 1});
       rank = chunk_last + 1;
     }
-    for (const auto& [a, ca] : counts) {
-      for (const auto& [b, cb] : counts) {
-        if (a == b) continue;  // intra-node exchange is free
-        flows.push_back(
-            {a, b, per_peer * static_cast<double>(ca) *
-                       static_cast<double>(cb)});
-      }
-    }
+    exchange.group_ends.push_back(exchange.members.size());
   }
-  return flows;
+  return exchange;
 }
 
 std::vector<simnet::Flow> Communicator::rank_messages(

@@ -2,7 +2,8 @@
 //
 // Ranks live on the nodes of a simnet::Network partition (via RankMap);
 // communication phases are expressed as rank-level volumes, aggregated into
-// node-level flows (intra-node traffic is free, as on real Blue Gene/Q
+// node-level flows or, for the grouped all-to-all, a node-level
+// simnet::GroupExchange (intra-node traffic is free, as on real Blue Gene/Q
 // where ranks on one node share memory), routed by the flow simulator, and
 // timed under the max-congestion fluid model. A Timeline accumulates phase
 // costs so multi-phase algorithms (CAPS BFS steps, N-body rounds) report a
@@ -52,11 +53,18 @@ class Communicator {
                    const std::vector<simnet::Flow>& flows,
                    Timeline& timeline) const;
 
+  /// Times a group exchange as one phase (Network::route_exchange),
+  /// appending it to `timeline`.
+  double run_phase(const std::string& label,
+                   const simnet::GroupExchange& exchange,
+                   Timeline& timeline) const;
+
   /// Uniform all-to-all within consecutive rank groups of `group_size`
   /// (must divide size()): each rank spreads `bytes_per_rank` uniformly
-  /// over the other ranks of its group. Returns node-aggregated flows.
-  std::vector<simnet::Flow> alltoall_in_groups(std::int64_t group_size,
-                                               double bytes_per_rank) const;
+  /// over the other ranks of its group. Returns the node-level pattern,
+  /// built in O(size()).
+  simnet::GroupExchange group_alltoall(std::int64_t group_size,
+                                       double bytes_per_rank) const;
 
   /// Point-to-point rank-level messages aggregated to node flows.
   /// Each triple is (src_rank, dst_rank, bytes).

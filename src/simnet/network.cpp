@@ -102,8 +102,21 @@ double Network::completion_seconds(const LinkLoads& loads,
   return time;
 }
 
+double Network::exchange_seconds(const LinkLoads& loads,
+                                 const GroupExchange& exchange) const {
+  const double time = channel_seconds(loads);
+  const double cap = options_.injection_bytes_per_second;
+  if (cap <= 0.0) return time;
+  return std::max(time, exchange.peak_injection_bytes(num_nodes()) / cap);
+}
+
 double Network::completion_seconds(std::span<const Flow> flows) const {
   return completion_seconds(route_all(flows), flows);
+}
+
+LinkLoads Network::route_exchange(const GroupExchange& exchange) const {
+  exchange.check(num_nodes());
+  return route_all(exchange.flows());
 }
 
 void route_chunks(std::size_t num_chunks, std::span<double> total,
@@ -343,6 +356,200 @@ LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
                                    flows[static_cast<std::size_t>(i)], loads);
                  }
                });
+  return total;
+}
+
+namespace {
+
+/// Scratch of one route_exchange call: the difference slots of every ring
+/// and the per-dimension weight tables of the group being added.
+struct ExchangeScratch {
+  /// Per dimension of length a > 1, per ring, per direction: 2a + 1 slots
+  /// of integer half rank-pairs over the ring unrolled twice, so an arc
+  /// never wraps and writes exactly two endpoints.
+  std::vector<std::int64_t> diff;
+  /// P: the group's ranks summed over the coordinates below the
+  /// dimension, keyed (coordinates above, coordinate) = high * a + x.
+  std::vector<std::int64_t> from_weight;
+  /// Q: the group's ranks summed over the coordinates above the
+  /// dimension, keyed (coordinates below, coordinate) = low * a + y.
+  std::vector<std::int64_t> to_weight;
+  std::vector<std::int64_t> from_keys;  // keys with nonzero P
+  std::vector<std::int64_t> to_keys;    // keys with nonzero Q
+  // The nonzero Q entries decoded once per dimension for the pair loop.
+  std::vector<std::int64_t> to_coord;
+  std::vector<std::int64_t> to_ring;
+  std::vector<std::int64_t> to_ranks;
+};
+
+/// Adds one group's arcs, dimension by dimension, to the difference slots.
+/// Pair (a, b) crosses dimension d on the ring of b's coordinates below d
+/// and a's above d, from a's coordinate x to b's y, so the ring's pair
+/// weights are the rank-1 product P(x) * Q(y): one arc per nonzero (P, Q)
+/// entry pair instead of one walk per node pair. Returns the endpoints
+/// written. NPAC_HOT: every buffer is caller-owned (npaclint rule H1).
+NPAC_HOT std::int64_t add_group_arcs(
+    const RouteScratch& shape, TieBreak tie_break,
+    const GroupExchange::Member* members, std::size_t count,
+    const std::int64_t* dim_offset, ExchangeScratch& s) {
+  std::int64_t endpoints = 0;
+  for (std::size_t dim = 0; dim < shape.num_dims; ++dim) {
+    const std::int64_t a = shape.dims[dim];
+    if (a == 1) continue;
+    const std::int64_t stride = shape.strides[dim];
+    std::size_t num_from = 0;
+    std::size_t num_to = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::int64_t v = members[i].node;
+      const std::int64_t x = (v / stride) % a;
+      const std::int64_t from = v / (stride * a) * a + x;
+      const std::int64_t to = v % stride * a + x;
+      if (s.from_weight[static_cast<std::size_t>(from)] == 0) {
+        s.from_keys[num_from++] = from;
+      }
+      if (s.to_weight[static_cast<std::size_t>(to)] == 0) {
+        s.to_keys[num_to++] = to;
+      }
+      s.from_weight[static_cast<std::size_t>(from)] += members[i].ranks;
+      s.to_weight[static_cast<std::size_t>(to)] += members[i].ranks;
+    }
+    const std::int64_t slots = 2 * a + 1;
+    for (std::size_t j = 0; j < num_to; ++j) {
+      const std::int64_t key = s.to_keys[j];
+      s.to_coord[j] = key % a;
+      s.to_ring[j] = key / a * 2 * slots;  // ring index low + high * stride
+      s.to_ranks[j] = s.to_weight[static_cast<std::size_t>(key)];
+      s.to_weight[static_cast<std::size_t>(key)] = 0;
+    }
+    for (std::size_t i = 0; i < num_from; ++i) {
+      const std::int64_t key = s.from_keys[i];
+      const std::int64_t x = key % a;
+      const std::int64_t from_ranks = s.from_weight[static_cast<std::size_t>(key)];
+      s.from_weight[static_cast<std::size_t>(key)] = 0;
+      std::int64_t* const high_rings =
+          s.diff.data() + dim_offset[dim] + key / a * stride * 2 * slots;
+      for (std::size_t j = 0; j < num_to; ++j) {
+        const std::int64_t y = s.to_coord[j];
+        if (y == x) continue;
+        // Two half-units per rank pair on a single path.
+        const std::int64_t w = 2 * from_ranks * s.to_ranks[j];
+        std::int64_t* const plus = high_rings + s.to_ring[j];
+        std::int64_t* const minus = plus + slots;
+        const std::int64_t forward = y > x ? y - x : y - x + a;
+        const std::int64_t backward = a - forward;
+        // + arc: channels x .. x+forward-1; - arc: x .. x-backward+1,
+        // unrolled one ring length up so the slot indices stay positive.
+        if (a == 2 || forward < backward ||
+            (forward == backward && tie_break == TieBreak::kPositive)) {
+          plus[x] += w;
+          plus[x + forward] -= w;
+          endpoints += 2;
+        } else if (backward < forward) {
+          minus[x + a - backward + 1] += w;
+          minus[x + a + 1] -= w;
+          endpoints += 2;
+        } else {
+          plus[x] += w / 2;
+          plus[x + forward] -= w / 2;
+          minus[x + a - backward + 1] += w / 2;
+          minus[x + a + 1] -= w / 2;
+          endpoints += 4;
+        }
+      }
+    }
+  }
+  return endpoints;
+}
+
+/// Prefix-sums every ring's difference slots and writes the channel loads:
+/// channel q of a ring carries the unrolled counts at q and q + a, in half
+/// rank-pairs of `half_pair_bytes` each. NPAC_HOT: allocation-free.
+NPAC_HOT void finish_rings(const RouteScratch& shape,
+                           const std::int64_t* dim_offset,
+                           std::int64_t* diff, double half_pair_bytes,
+                           double* loads) {
+  const std::size_t num_dims = shape.num_dims;
+  for (std::size_t dim = 0; dim < num_dims; ++dim) {
+    const std::int64_t a = shape.dims[dim];
+    if (a == 1) continue;
+    const std::int64_t stride = shape.strides[dim];
+    const std::int64_t slots = 2 * a + 1;
+    const std::int64_t rings = shape.num_vertices / a;
+    for (std::int64_t ring = 0; ring < rings; ++ring) {
+      const std::int64_t low = ring % stride;
+      const std::int64_t first = low + (ring / stride) * stride * a;
+      for (std::size_t direction = 0; direction < 2; ++direction) {
+        std::int64_t* const slot =
+            diff + dim_offset[dim] + (ring * 2 + static_cast<std::int64_t>(direction)) * slots;
+        std::int64_t run = 0;
+        for (std::int64_t u = 0; u < 2 * a; ++u) {
+          run += slot[u];
+          slot[u] = run;
+        }
+        for (std::int64_t q = 0; q < a; ++q) {
+          const auto node = static_cast<std::size_t>(first + q * stride);
+          loads[(node * num_dims + dim) * 2 + direction] =
+              static_cast<double>(slot[q] + slot[q + a]) * half_pair_bytes;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
+  const std::int64_t n = torus_.num_vertices();
+  exchange.check(n);
+  const std::int64_t node_pairs = exchange.node_pairs();
+  LinkLoads total(n, torus_.num_dims());
+
+  obs::Registry* const registry = obs::Registry::current();
+  if (registry != nullptr) {
+    registry->counter("net.torus.route_all").add(1);
+    registry->counter("net.torus.flows")
+        .add(static_cast<std::uint64_t>(node_pairs));
+  }
+  std::optional<obs::ScopedTimer> span;
+  if (obs::tracing_enabled()) {
+    span.emplace("torus.route_all flows=" + std::to_string(node_pairs), "net");
+  }
+
+  const RouteScratch shape(torus_);
+  std::array<std::int64_t, kMaxRouteDims> dim_offset{};
+  std::int64_t slots = 0;
+  for (std::size_t dim = 0; dim < shape.num_dims; ++dim) {
+    dim_offset[dim] = slots;
+    const std::int64_t a = shape.dims[dim];
+    if (a > 1) slots += n / a * 2 * (2 * a + 1);
+  }
+  static thread_local ExchangeScratch scratch;
+  scratch.diff.assign(static_cast<std::size_t>(slots), 0);
+  for (std::vector<std::int64_t>* table :
+       {&scratch.from_weight, &scratch.to_weight, &scratch.from_keys,
+        &scratch.to_keys, &scratch.to_coord, &scratch.to_ring,
+        &scratch.to_ranks}) {
+    // The weight tables are left zeroed by every call, so growing them is
+    // the only initialisation they need.
+    if (table->size() < static_cast<std::size_t>(n)) {
+      table->resize(static_cast<std::size_t>(n), 0);
+    }
+  }
+
+  std::int64_t endpoints = 0;
+  for (std::size_t g = 0; g < exchange.group_ends.size(); ++g) {
+    const std::size_t begin = g == 0 ? 0 : exchange.group_ends[g - 1];
+    endpoints += add_group_arcs(shape, options().tie_break,
+                                exchange.members.data() + begin,
+                                exchange.group_ends[g] - begin,
+                                dim_offset.data(), scratch);
+  }
+  finish_rings(shape, dim_offset.data(), scratch.diff.data(),
+               exchange.bytes_per_pair * 0.5, total.raw().data());
+  if (registry != nullptr) {
+    registry->counter("net.torus.ring_updates")
+        .add(static_cast<std::uint64_t>(endpoints));
+  }
   return total;
 }
 

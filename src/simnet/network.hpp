@@ -7,7 +7,8 @@
 //
 //  * TorusNetwork (this header) — dimension-ordered minimal ring routing on
 //    a topo::Torus, kept on its specialized allocation-free incremental-
-//    index path. Channels are (node, dimension, direction) triples.
+//    index path, plus a closed form for group exchanges (route_exchange).
+//    Channels are (node, dimension, direction) triples.
 //  * GraphNetwork (simnet/graph_network.hpp) — BFS shortest paths with
 //    ECMP-style fractional splitting over any topo::Graph. Channels are
 //    directed CSR arcs.
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "simnet/flow.hpp"
+#include "simnet/traffic.hpp"
 #include "topo/torus.hpp"
 
 namespace npac::simnet {
@@ -116,6 +118,11 @@ class Network {
   /// deterministic: independent of thread count and scheduling.
   virtual LinkLoads route_all(std::span<const Flow> flows) const = 0;
 
+  /// Routes a group exchange and returns its loads. The base expands it
+  /// to flows (GroupExchange::flows) and calls route_all, so any backend
+  /// prices it; a backend with a closed form overrides.
+  virtual LinkLoads route_exchange(const GroupExchange& exchange) const;
+
   /// Completion time of a set of flows that start simultaneously:
   /// max-channel-time, floored by the injection cap when one is configured.
   double completion_seconds(std::span<const Flow> flows) const;
@@ -124,6 +131,11 @@ class Network {
   /// profile (exposed so callers can reuse loads).
   double completion_seconds(const LinkLoads& loads,
                             std::span<const Flow> flows) const;
+
+  /// completion_seconds for a group exchange's loads, with the exchange's
+  /// injection profile taken in closed form.
+  double exchange_seconds(const LinkLoads& loads,
+                          const GroupExchange& exchange) const;
 
   /// Total hop count of the minimal route of a flow (for diagnostics).
   virtual std::int64_t path_hops(const Flow& flow) const = 0;
@@ -185,6 +197,11 @@ class TorusNetwork final : public Network {
   /// Specialized routing in chunks of flows on parallel_for (see
   /// route_chunks); byte-identical at any thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
+  /// Closed form: per ring, a group's pair weights are a rank-1 product,
+  /// accumulated as exact integer half rank-pairs in difference arrays
+  /// (DESIGN.md decision #19). Never builds a flow; single-threaded and
+  /// exact, so independent of thread count.
+  LinkLoads route_exchange(const GroupExchange& exchange) const override;
   std::int64_t path_hops(const Flow& flow) const override;
   std::vector<Flow> halo_flows(double bytes) const override;
 

@@ -1,8 +1,11 @@
 #include "simnet/traffic.hpp"
 
-#include <numeric>
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <random>
+#include <stdexcept>
 
 namespace npac::simnet {
 
@@ -82,6 +85,118 @@ std::vector<Flow> uniform_all_to_all(const topo::Torus& torus,
     }
   }
   return flows;
+}
+
+namespace {
+
+/// Members [begin, end) of group g.
+std::pair<std::size_t, std::size_t> group_range(const GroupExchange& exchange,
+                                                std::size_t g) {
+  return {g == 0 ? 0 : exchange.group_ends[g - 1], exchange.group_ends[g]};
+}
+
+}  // namespace
+
+void GroupExchange::check(std::int64_t num_nodes) const {
+  if (!std::isfinite(bytes_per_pair) || bytes_per_pair < 0.0) {
+    throw std::invalid_argument(
+        "GroupExchange: bytes per pair must be finite and non-negative");
+  }
+  if ((group_ends.empty() ? 0 : group_ends.back()) != members.size()) {
+    throw std::invalid_argument("GroupExchange: groups must cover the members");
+  }
+  // last_group[v] = 1 + the last group that listed node v.
+  std::vector<std::size_t> last_group(static_cast<std::size_t>(num_nodes), 0);
+  std::int64_t twice_pairs = 0;  // 2 * sum over groups of (group ranks)^2
+  for (std::size_t g = 0; g < group_ends.size(); ++g) {
+    const auto [begin, end] = group_range(*this, g);
+    if (end < begin) {
+      throw std::invalid_argument("GroupExchange: group ends must not decrease");
+    }
+    std::int64_t group_ranks = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Member& m = members[i];
+      if (m.node < 0 || m.node >= num_nodes) {
+        throw std::invalid_argument("GroupExchange: node out of range");
+      }
+      if (m.ranks < 1) {
+        throw std::invalid_argument("GroupExchange: rank counts must be positive");
+      }
+      std::size_t& seen = last_group[static_cast<std::size_t>(m.node)];
+      if (seen == g + 1) {
+        throw std::invalid_argument("GroupExchange: node listed twice in a group");
+      }
+      seen = g + 1;
+      if (__builtin_add_overflow(group_ranks, m.ranks, &group_ranks)) {
+        throw std::overflow_error("GroupExchange: rank count overflows int64");
+      }
+    }
+    std::int64_t square = 0;
+    if (__builtin_mul_overflow(group_ranks, group_ranks, &square) ||
+        __builtin_mul_overflow(square, std::int64_t{2}, &square) ||
+        __builtin_add_overflow(twice_pairs, square, &twice_pairs)) {
+      throw std::overflow_error("GroupExchange: rank pair count overflows int64");
+    }
+  }
+}
+
+std::int64_t GroupExchange::node_pairs() const {
+  std::int64_t pairs = 0;
+  for (std::size_t g = 0; g < group_ends.size(); ++g) {
+    const auto [begin, end] = group_range(*this, g);
+    const auto k = static_cast<std::int64_t>(end - begin);
+    pairs += k * (k - 1);
+  }
+  return pairs;
+}
+
+double GroupExchange::total_bytes() const {
+  // Rank pairs on different nodes: S^2 - sum of c^2 per group of S ranks.
+  std::int64_t pairs = 0;
+  for (std::size_t g = 0; g < group_ends.size(); ++g) {
+    const auto [begin, end] = group_range(*this, g);
+    std::int64_t group_ranks = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      group_ranks += members[i].ranks;
+      pairs -= members[i].ranks * members[i].ranks;
+    }
+    pairs += group_ranks * group_ranks;
+  }
+  return static_cast<double>(pairs) * bytes_per_pair;
+}
+
+double GroupExchange::peak_injection_bytes(std::int64_t num_nodes) const {
+  // A node hosting c of a group's S ranks sends to c * (S - c) rank pairs.
+  std::vector<std::int64_t> pairs(static_cast<std::size_t>(num_nodes), 0);
+  for (std::size_t g = 0; g < group_ends.size(); ++g) {
+    const auto [begin, end] = group_range(*this, g);
+    std::int64_t group_ranks = 0;
+    for (std::size_t i = begin; i < end; ++i) group_ranks += members[i].ranks;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Member& m = members[i];
+      pairs[static_cast<std::size_t>(m.node)] += m.ranks * (group_ranks - m.ranks);
+    }
+  }
+  const std::int64_t peak =
+      pairs.empty() ? 0 : *std::max_element(pairs.begin(), pairs.end());
+  return static_cast<double>(peak) * bytes_per_pair;
+}
+
+std::vector<Flow> GroupExchange::flows() const {
+  std::vector<Flow> result;
+  result.reserve(static_cast<std::size_t>(node_pairs()));
+  for (std::size_t g = 0; g < group_ends.size(); ++g) {
+    const auto [begin, end] = group_range(*this, g);
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t j = begin; j < end; ++j) {
+        if (i == j) continue;
+        result.push_back({members[i].node, members[j].node,
+                          bytes_per_pair * static_cast<double>(members[i].ranks) *
+                              static_cast<double>(members[j].ranks)});
+      }
+    }
+  }
+  return result;
 }
 
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,

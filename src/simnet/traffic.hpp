@@ -40,6 +40,47 @@ std::vector<Flow> random_permutation(const topo::Torus& torus, double bytes,
 std::vector<Flow> uniform_all_to_all(const topo::Torus& torus,
                                      double total_bytes_per_source);
 
+/// Uniform all-to-all within groups of ranks, stated per node: every ordered
+/// pair of ranks of one group sends `bytes_per_pair`, and ranks sharing a
+/// node exchange for free. A group lists the nodes hosting its ranks, each
+/// with its rank count c, so node pair (a, b) of one group carries
+/// bytes_per_pair * c_a * c_b. This is the CAPS BFS-step and N-body
+/// pattern; it stays a pattern so a backend with a closed form for it
+/// (TorusNetwork) never builds its flows.
+struct GroupExchange {
+  struct Member {
+    topo::VertexId node = 0;
+    std::int64_t ranks = 0;  ///< the group's ranks on this node, >= 1
+  };
+  double bytes_per_pair = 0.0;
+  std::vector<Member> members;          ///< group after group
+  std::vector<std::size_t> group_ends;  ///< one past each group's last member
+
+  /// Throws std::invalid_argument unless every node is in [0, num_nodes)
+  /// and appears once per group, every rank count is positive, the groups
+  /// partition `members` and the byte count is finite and non-negative.
+  /// Throws std::overflow_error when twice the rank-pair count, the largest
+  /// integer a closed form accumulates, would overflow int64.
+  void check(std::int64_t num_nodes) const;
+
+  /// Ordered pairs of distinct nodes of one group, summed over groups: the
+  /// number of flows flows() emits.
+  std::int64_t node_pairs() const;
+
+  /// Bytes that cross between nodes. Exact integer pair counts: requires
+  /// check() to pass.
+  double total_bytes() const;
+
+  /// Largest byte count one node injects. The pattern is symmetric, so it
+  /// is also the largest a node ejects. Requires check(num_nodes) to pass.
+  double peak_injection_bytes(std::int64_t num_nodes) const;
+
+  /// One flow per ordered pair of distinct nodes of a group, group by
+  /// group in member order: the reference expansion every backend
+  /// without a closed form routes.
+  std::vector<Flow> flows() const;
+};
+
 /// Nearest-neighbour halo exchange: every node sends `bytes` to each of its
 /// torus neighbours (the contention-free baseline pattern).
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,

@@ -105,20 +105,19 @@ double simulate_caps_communication(const simmpi::Communicator& comm,
 
   double total_seconds = 0.0;
   // Descend: scatter the S/T operands of every BFS step. The gather of the
-  // same step moves the identical node-flow pattern at exactly half the
+  // same step moves the identical node-level pattern at exactly half the
   // volume (one matrix instead of two), and the fluid model is linear in
-  // flow bytes with a power-of-two factor — halving every flow halves every
+  // bytes with a power-of-two factor — halving every pair halves every
   // channel load, injection sum, and completion time bit-exactly. So each
-  // step is routed once and its gather phase is derived by scaling, instead
-  // of re-routing ~|nodes|^2 flows per phase.
+  // step is priced once and its gather phase is derived by scaling.
   std::vector<simmpi::PhaseRecord> scatter_records;
   scatter_records.reserve(static_cast<std::size_t>(params.bfs_steps));
   std::int64_t group = params.ranks;  // ranks / 7^step
   for (int step = 0; step < params.bfs_steps; ++step, group /= 7) {
-    const auto flows = comm.alltoall_in_groups(
-        group, caps_scatter_bytes_per_rank(params, step));
     total_seconds += comm.run_phase(
-        "bfs" + std::to_string(step) + ":scatter", flows, sink);
+        "bfs" + std::to_string(step) + ":scatter",
+        comm.group_alltoall(group, caps_scatter_bytes_per_rank(params, step)),
+        sink);
     scatter_records.push_back(sink.records().back());
   }
   // Ascend: gather the C products in reverse order. The volume ratio comes

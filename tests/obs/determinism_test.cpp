@@ -16,6 +16,7 @@
 
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
+#include "core/experiments.hpp"
 #include "core/scheduler_stream.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/graph_network.hpp"
@@ -226,6 +227,37 @@ TEST(ObsDeterminismTest, GraphRoutingInstrumentationNeverChangesLoadBytes) {
   EXPECT_EQ(registry.counter_value("net.graph.flows"), 2 * flows.size());
   EXPECT_GT(registry.gauge_value("net.graph.scratch.bytes"), 0.0);
   EXPECT_GT(registry.trace().size(), 0u);
+}
+
+
+TEST(ObsDeterminismTest, CapsWorkCountersRepeatAtAnyThreadCount) {
+  // The closed-form group exchange counts its work deterministically: the
+  // node pairs each exchange stands for (net.torus.flows, what the flow
+  // path would have routed) and the difference-array endpoints it wrote
+  // (net.torus.ring_updates). One Figure 6 CAPS call pins both, and its
+  // time, at 1, 3 and 8 kernel-pool threads.
+  ASSERT_EQ(obs::Registry::current(), nullptr);
+  const bgq::Geometry geometry(2, 1, 1, 1);
+  const strassen::CapsParams params{9408, 2401, 4};
+  const double reference = core::caps_comm_seconds(geometry, params);
+  for (const int threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ScopedKernelPool kernel_pool(pool);
+    obs::Registry::Options options;
+    options.tracing = true;
+    obs::Registry registry(options);
+    {
+      obs::ScopedRegistry scoped(registry);
+      EXPECT_EQ(core::caps_comm_seconds(geometry, params), reference)
+          << "threads=" << threads;
+    }
+    EXPECT_EQ(registry.counter_value("net.torus.route_all"), 4u)
+        << "threads=" << threads;
+    EXPECT_EQ(registry.counter_value("net.torus.flows"), 1228342u)
+        << "threads=" << threads;
+    EXPECT_EQ(registry.counter_value("net.torus.ring_updates"), 113484u)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

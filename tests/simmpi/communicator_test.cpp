@@ -1,5 +1,5 @@
 // Simulated-MPI tests: phase timing, node aggregation of rank messages,
-// and the grouped all-to-all (the CAPS building block).
+// and the grouped all-to-all pattern (the CAPS building block).
 #include "simmpi/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -57,24 +57,24 @@ TEST(CommunicatorTest, RankMessagesAggregateByNodePair) {
   EXPECT_DOUBLE_EQ(node0_to_node1, 12.0);
 }
 
-TEST(CommunicatorTest, AllToAllInGroupsRequiresDivisibility) {
+TEST(CommunicatorTest, GroupAllToAllRequiresDivisibility) {
   const auto net = unit_network({4});
   const Communicator comm(&net, RankMap(8, 4));
-  EXPECT_THROW(comm.alltoall_in_groups(3, 1.0), std::invalid_argument);
-  EXPECT_THROW(comm.alltoall_in_groups(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(comm.group_alltoall(3, 1.0), std::invalid_argument);
+  EXPECT_THROW(comm.group_alltoall(0, 1.0), std::invalid_argument);
 }
 
 TEST(CommunicatorTest, AllToAllGroupOfOneIsFree) {
   const auto net = unit_network({4});
   const Communicator comm(&net, RankMap(4, 4));
-  EXPECT_TRUE(comm.alltoall_in_groups(1, 1.0).empty());
+  EXPECT_TRUE(comm.group_alltoall(1, 1.0).flows().empty());
 }
 
 TEST(CommunicatorTest, AllToAllWithinNodeIsFree) {
   // 4 ranks on 1 node: all exchange is intra-node.
   const auto net = unit_network({1});
   const Communicator comm(&net, RankMap(4, 1));
-  EXPECT_TRUE(comm.alltoall_in_groups(4, 1.0).empty());
+  EXPECT_TRUE(comm.group_alltoall(4, 1.0).flows().empty());
 }
 
 TEST(CommunicatorTest, AllToAllVolumeConservation) {
@@ -82,11 +82,14 @@ TEST(CommunicatorTest, AllToAllVolumeConservation) {
   // 9 bytes over 3 peers -> total inter-node bytes = 4 * 9.
   const auto net = unit_network({4});
   const Communicator comm(&net, RankMap(4, 4));
-  const auto flows = comm.alltoall_in_groups(4, 9.0);
+  const auto exchange = comm.group_alltoall(4, 9.0);
+  const auto flows = exchange.flows();
   double total = 0.0;
   for (const auto& flow : flows) total += flow.bytes;
   EXPECT_DOUBLE_EQ(total, 36.0);
+  EXPECT_DOUBLE_EQ(exchange.total_bytes(), 36.0);
   EXPECT_EQ(flows.size(), 12u);  // 4 * 3 ordered node pairs
+  EXPECT_EQ(exchange.node_pairs(), 12);
 }
 
 TEST(CommunicatorTest, AllToAllMultiRankWeighting) {
@@ -95,7 +98,7 @@ TEST(CommunicatorTest, AllToAllMultiRankWeighting) {
   // (per_peer = bytes / 3).
   const auto net = unit_network({4});
   const Communicator comm(&net, RankMap(8, 4));
-  const auto flows = comm.alltoall_in_groups(4, 3.0);
+  const auto flows = comm.group_alltoall(4, 3.0).flows();
   ASSERT_EQ(flows.size(), 4u);  // 2 groups x 2 directions
   for (const auto& flow : flows) {
     EXPECT_DOUBLE_EQ(flow.bytes, 4.0);  // 2 ranks x 2 ranks x 1.0
@@ -105,7 +108,7 @@ TEST(CommunicatorTest, AllToAllMultiRankWeighting) {
 TEST(CommunicatorTest, GroupsNeverCrossGroupBoundaries) {
   const auto net = unit_network({8});
   const Communicator comm(&net, RankMap(8, 8));
-  const auto flows = comm.alltoall_in_groups(4, 1.0);
+  const auto flows = comm.group_alltoall(4, 1.0).flows();
   for (const auto& flow : flows) {
     EXPECT_EQ(flow.src / 4, flow.dst / 4) << flow.src << " -> " << flow.dst;
   }
@@ -117,13 +120,15 @@ TEST(CommunicatorTest, PhaseTimeUsesContentionModel) {
   const auto net = unit_network({4});
   const Communicator comm(&net, RankMap(4, 4));
   Timeline timeline;
-  const auto flows = comm.alltoall_in_groups(4, 3.0);
-  const double seconds = comm.run_phase("a2a", flows, timeline);
+  const double seconds =
+      comm.run_phase("a2a", comm.group_alltoall(4, 3.0), timeline);
   // Each ordered pair carries 1 byte. Distance-1 pairs load their channel
   // with 1; distance-2 (antipodal) pairs split 0.5 + 0.5 over two-hop
   // paths. Channel (v,+): 1 (from v->v+1) + 0.5 (v->v+2 forward half) +
   // 0.5 (relay of (v-1)->(v+1)) = 2.
   EXPECT_DOUBLE_EQ(seconds, 2.0);
+  EXPECT_DOUBLE_EQ(timeline.records()[0].max_channel_bytes, 2.0);
+  EXPECT_DOUBLE_EQ(timeline.records()[0].total_bytes, 12.0);
 }
 
 }  // namespace

@@ -93,13 +93,15 @@ TEST(MappingTest, GroupedAllToAllConservesVolumeUnderAnyMapping) {
         MappingStrategy::kRandom}) {
     const Communicator comm(
         &net, RankMap::with_mapping(32, 16, strategy, 11));
-    const auto flows = comm.alltoall_in_groups(8, 7.0);
+    const auto exchange = comm.group_alltoall(8, 7.0);
     double total = 0.0;
-    for (const auto& flow : flows) total += flow.bytes;
+    for (const auto& flow : exchange.flows()) total += flow.bytes;
     // Each group of 8 ranks (on 4 nodes, 2 per node) exchanges
     // 8 * 7 bytes, of which the intra-node 1/7 stays local:
     // per group inter-node volume = 8 * 7 - 8 * 1 = 48; 4 groups.
     EXPECT_NEAR(total, 4.0 * 48.0, 1e-9)
+        << "strategy " << static_cast<int>(strategy);
+    EXPECT_DOUBLE_EQ(exchange.total_bytes(), 4.0 * 48.0)
         << "strategy " << static_cast<int>(strategy);
   }
 }
