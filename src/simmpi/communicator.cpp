@@ -1,9 +1,10 @@
 #include "simmpi/communicator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <utility>
+
+#include "obs/metrics.hpp"
 
 namespace npac::simmpi {
 
@@ -91,17 +92,56 @@ simnet::GroupExchange Communicator::group_alltoall(
 
 std::vector<simnet::Flow> Communicator::rank_messages(
     const std::vector<RankMessage>& messages) const {
-  std::map<std::pair<topo::VertexId, topo::VertexId>, double> aggregated;
-  for (const RankMessage& message : messages) {
-    const topo::VertexId src = map_.node_of(message.src);
-    const topo::VertexId dst = map_.node_of(message.dst);
+  struct Keyed {
+    topo::VertexId src;
+    topo::VertexId dst;
+    std::size_t message;  // index into `messages`: the tie-break
+  };
+  // Counting sort of the inter-node messages by source node.
+  const auto num_nodes = static_cast<std::size_t>(map_.num_nodes());
+  std::vector<std::size_t> cursor(num_nodes + 1, 0);
+  std::vector<Keyed> inter;
+  inter.reserve(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const topo::VertexId src = map_.node_of(messages[i].src);
+    const topo::VertexId dst = map_.node_of(messages[i].dst);
     if (src == dst) continue;
-    aggregated[{src, dst}] += message.bytes;
+    inter.push_back({src, dst, i});
+    ++cursor[static_cast<std::size_t>(src) + 1];
   }
+  for (std::size_t node = 1; node < cursor.size(); ++node) {
+    cursor[node] += cursor[node - 1];
+  }
+  std::vector<Keyed> by_src(inter.size());
+  for (const Keyed& keyed : inter) {
+    by_src[cursor[static_cast<std::size_t>(keyed.src)]++] = keyed;
+  }
+
+  // Each source's bucket, sorted by (destination, message index), is a
+  // run of equal keys per flow; a flow's bytes are summed from 0.0 in
+  // message order.
   std::vector<simnet::Flow> flows;
-  flows.reserve(aggregated.size());
-  for (const auto& [key, bytes] : aggregated) {
-    flows.push_back({key.first, key.second, bytes});
+  flows.reserve(by_src.size());
+  for (std::size_t begin = 0; begin < by_src.size();) {
+    std::size_t end = begin + 1;
+    while (end < by_src.size() && by_src[end].src == by_src[begin].src) ++end;
+    std::sort(by_src.begin() + static_cast<std::ptrdiff_t>(begin),
+              by_src.begin() + static_cast<std::ptrdiff_t>(end),
+              [](const Keyed& x, const Keyed& y) {
+                return x.dst != y.dst ? x.dst < y.dst : x.message < y.message;
+              });
+    while (begin < end) {
+      const Keyed& first = by_src[begin];
+      double bytes = 0.0;
+      for (; begin < end && by_src[begin].dst == first.dst; ++begin) {
+        bytes += messages[by_src[begin].message].bytes;
+      }
+      flows.push_back({first.src, first.dst, bytes});
+    }
+  }
+  if (obs::Registry* const registry = obs::Registry::current()) {
+    registry->counter("simmpi.rank_messages").add(messages.size());
+    registry->counter("simmpi.node_flows").add(flows.size());
   }
   return flows;
 }

@@ -67,7 +67,13 @@ class Communicator {
                                        double bytes_per_rank) const;
 
   /// Point-to-point rank-level messages aggregated to node flows.
-  /// Each triple is (src_rank, dst_rank, bytes).
+  /// Each triple is (src_rank, dst_rank, bytes). Intra-node messages are
+  /// dropped; one flow per remaining (src node, dst node) pair, in
+  /// ascending (src, dst) order, its bytes summed from 0.0 in message
+  /// order. A counting sort by source node: O(messages + nodes), plus a
+  /// sort of each source's messages by destination. With a registry
+  /// current, counts the messages in (simmpi.rank_messages) and the flows
+  /// out (simmpi.node_flows).
   struct RankMessage {
     std::int64_t src = 0;
     std::int64_t dst = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -199,9 +200,12 @@ namespace {
 
 /// Routing scratch shared across the flows of one route_all call: dimension
 /// lengths and mixed-radix strides, flattened so the per-hop walk touches no
-/// std::vector<Coord> and recomputes no index_of. Tori beyond kMaxDims (far
-/// past anything a Blue Gene/Q model builds) fall back would be pointless —
-/// reject loudly instead.
+/// std::vector<Coord> and recomputes no index_of. Building it checks the
+/// two limits the fast path relies on: at most kMaxRouteDims dimensions
+/// (far past anything a Blue Gene/Q model builds) and vertex ids that fit
+/// in uint32_t, so a flow's endpoints decompose in 32-bit arithmetic. A
+/// torus past either limit is rejected, not routed on a slower path; no
+/// LinkLoads for 2^32 vertices could be allocated anyway.
 constexpr std::size_t kMaxRouteDims = 32;
 
 struct RouteScratch {
@@ -214,6 +218,10 @@ struct RouteScratch {
     num_dims = torus.num_dims();
     if (num_dims > kMaxRouteDims) {
       throw std::invalid_argument("route_flow: too many torus dimensions");
+    }
+    if (torus.num_vertices() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument(
+          "route_flow: torus has more than 2^32 - 1 vertices");
     }
     for (std::size_t i = 0; i < num_dims; ++i) {
       dims[i] = torus.dims()[i];
@@ -237,29 +245,26 @@ NPAC_HOT void route_flow_fast(const RouteScratch& scratch, TieBreak tie_break,
       flow.dst >= scratch.num_vertices) {
     throw std::out_of_range("route_flow: vertex out of range");
   }
-  if (flow.src == flow.dst || flow.bytes == 0.0) return;
+  if (flow.bytes == 0.0) return;
 
   const std::size_t num_dims = scratch.num_dims;
-  std::array<std::int64_t, kMaxRouteDims> at;
-  std::array<std::int64_t, kMaxRouteDims> dst;
-  std::int64_t src_rest = flow.src;
-  std::int64_t dst_rest = flow.dst;
-  for (std::size_t i = 0; i < num_dims; ++i) {
-    at[i] = src_rest % scratch.dims[i];
-    src_rest /= scratch.dims[i];
-    dst[i] = dst_rest % scratch.dims[i];
-    dst_rest /= scratch.dims[i];
-  }
-
-  std::int64_t node = flow.src;  // kept in sync with at[]
-  for (std::size_t dim = 0; dim < num_dims; ++dim) {
-    const std::int64_t a = scratch.dims[dim];
-    const std::int64_t stride = scratch.strides[dim];
-    const std::int64_t from = at[dim];
-    const std::int64_t target = dst[dim];
+  // The coordinates of dimensions dim and above; RouteScratch guarantees
+  // they fit in 32 bits.
+  auto src_rest = static_cast<std::uint32_t>(flow.src);
+  auto dst_rest = static_cast<std::uint32_t>(flow.dst);
+  std::int64_t node = flow.src;  // the walk's position, one dim at a time
+  for (std::size_t dim = 0; dim < num_dims && src_rest != dst_rest; ++dim) {
+    const auto length = static_cast<std::uint32_t>(scratch.dims[dim]);
+    const std::int64_t from = src_rest % length;
+    const std::int64_t target = dst_rest % length;
+    src_rest /= length;
+    dst_rest /= length;
     if (from == target) continue;
 
-    const std::int64_t forward = ((target - from) % a + a) % a;
+    const std::int64_t a = length;
+    const std::int64_t stride = scratch.strides[dim];
+    const std::int64_t forward =
+        target > from ? target - from : target - from + a;
     const std::int64_t backward = a - forward;
 
     const auto walk = [&](int direction, std::int64_t hops, double weight) {
@@ -305,7 +310,6 @@ NPAC_HOT void route_flow_fast(const RouteScratch& scratch, TieBreak tie_break,
       }
     }
 
-    at[dim] = target;
     node += (target - from) * stride;
   }
 }
@@ -318,9 +322,8 @@ void TorusNetwork::route_flow(const Flow& flow, LinkLoads& loads) const {
 }
 
 LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
-  const std::int64_t n = torus_.num_vertices();
-  const std::size_t d = torus_.num_dims();
-  LinkLoads total(n, d);
+  const RouteScratch scratch(torus_);  // checks the size limits first
+  LinkLoads total(torus_.num_vertices(), torus_.num_dims());
 
   if (obs::Registry* const registry = obs::Registry::current()) {
     registry->counter("net.torus.route_all").add(1);
@@ -342,7 +345,6 @@ LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
       std::max(kMinFlowsPerChunk, total.num_channels());
   const std::size_t num_chunks = std::clamp<std::size_t>(
       flows.size() / per_chunk, 1, kMaxChunks);
-  const RouteScratch scratch(torus_);
   const TieBreak tie_break = options().tie_break;
   static thread_local std::vector<double> partials;
   route_chunks(num_chunks, total.raw(), partials,
@@ -499,6 +501,7 @@ NPAC_HOT void finish_rings(const RouteScratch& shape,
 }  // namespace
 
 LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
+  const RouteScratch shape(torus_);  // checks the size limits first
   const std::int64_t n = torus_.num_vertices();
   exchange.check(n);
   const std::int64_t node_pairs = exchange.node_pairs();
@@ -515,7 +518,6 @@ LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
     span.emplace("torus.route_all flows=" + std::to_string(node_pairs), "net");
   }
 
-  const RouteScratch shape(torus_);
   std::array<std::int64_t, kMaxRouteDims> dim_offset{};
   std::int64_t slots = 0;
   for (std::size_t dim = 0; dim < shape.num_dims; ++dim) {

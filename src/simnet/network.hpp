@@ -193,6 +193,8 @@ class TorusNetwork final : public Network {
   std::int64_t num_nodes() const override { return torus_.num_vertices(); }
   std::size_t num_channels() const override;
   LinkLoads make_loads() const override;
+  /// Throws std::invalid_argument, before touching `loads`, on a torus of
+  /// more than 2^32 - 1 vertices (route_all and route_exchange too).
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
   /// Specialized routing in chunks of flows on parallel_for (see
   /// route_chunks); byte-identical at any thread count.

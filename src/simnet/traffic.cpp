@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <random>
 #include <stdexcept>
+#include <utility>
+
+#include "sweep/pool.hpp"
 
 namespace npac::simnet {
 
@@ -60,8 +62,14 @@ std::vector<Flow> random_permutation(const topo::Torus& torus, double bytes,
   const std::int64_t n = torus.num_vertices();
   std::vector<topo::VertexId> destination(static_cast<std::size_t>(n));
   std::iota(destination.begin(), destination.end(), topo::VertexId{0});
-  std::mt19937_64 rng(seed);
-  std::shuffle(destination.begin(), destination.end(), rng);
+  // Inline Fisher-Yates on task_seed draws, as RankMap's kRandom: the
+  // permutation std::shuffle draws differs between standard libraries.
+  for (std::int64_t i = n - 1; i > 0; --i) {
+    const auto j = static_cast<std::int64_t>(
+        sweep::task_seed(seed, i) % static_cast<std::uint64_t>(i + 1));
+    std::swap(destination[static_cast<std::size_t>(i)],
+              destination[static_cast<std::size_t>(j)]);
+  }
 
   std::vector<Flow> flows;
   flows.reserve(static_cast<std::size_t>(n));
@@ -201,20 +209,30 @@ std::vector<Flow> GroupExchange::flows() const {
 
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,
                                         double bytes) {
+  const std::int64_t n = torus.num_vertices();
+  const topo::Dims& dims = torus.dims();
   std::vector<Flow> flows;
-  for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
-    const topo::Coord c = torus.coord_of(v);
-    for (std::size_t dim = 0; dim < torus.num_dims(); ++dim) {
-      const std::int64_t a = torus.dims()[dim];
-      if (a == 1) continue;
-      topo::Coord fwd = c;
-      fwd[dim] = (c[dim] + 1) % a;
-      flows.push_back({v, torus.index_of(fwd), bytes});
-      if (a > 2) {
-        topo::Coord back = c;
-        back[dim] = (c[dim] - 1 + a) % a;
-        flows.push_back({v, torus.index_of(back), bytes});
+  flows.reserve(static_cast<std::size_t>(n) * torus.degree());
+  // An odometer over the coordinates (coordinate 0 fastest, as vertex ids
+  // count) gives each neighbour as v +/- stride, wrapping by (a - 1) * stride.
+  topo::Coord c(dims.size(), 0);
+  for (topo::VertexId v = 0; v < n; ++v) {
+    std::int64_t stride = 1;
+    for (std::size_t dim = 0; dim < dims.size(); ++dim) {
+      const std::int64_t a = dims[dim];
+      if (a > 1) {
+        const std::int64_t wrap = (a - 1) * stride;
+        flows.push_back(
+            {v, c[dim] + 1 == a ? v - wrap : v + stride, bytes});
+        if (a > 2) {
+          flows.push_back({v, c[dim] == 0 ? v + wrap : v - stride, bytes});
+        }
       }
+      stride *= a;
+    }
+    for (std::size_t dim = 0; dim < dims.size() && ++c[dim] == dims[dim];
+         ++dim) {
+      c[dim] = 0;
     }
   }
   return flows;

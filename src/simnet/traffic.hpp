@@ -31,7 +31,9 @@ std::vector<Flow> furthest_node_pairing(const topo::Graph& graph,
                                         double bytes);
 
 /// Random permutation traffic: each node sends `bytes` to a unique,
-/// uniformly drawn destination. Deterministic in `seed`.
+/// uniformly drawn destination (fixed points emit no flow). A Fisher-Yates
+/// shuffle over sweep::task_seed draws: deterministic in `seed` and the
+/// same on every toolchain.
 std::vector<Flow> random_permutation(const topo::Torus& torus, double bytes,
                                      std::uint64_t seed);
 
@@ -82,7 +84,11 @@ struct GroupExchange {
 };
 
 /// Nearest-neighbour halo exchange: every node sends `bytes` to each of its
-/// torus neighbours (the contention-free baseline pattern).
+/// torus neighbours (the contention-free baseline pattern). Flows come in
+/// vertex order; per vertex, dimension by dimension, the + neighbour, then
+/// the - neighbour unless the dimension has length 2 (one link, one flow).
+/// Length-1 dimensions send nothing. Exactly num_vertices() * degree()
+/// flows, built in time linear in their count.
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,
                                         double bytes);
 

@@ -14,12 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "apps/kernels.hpp"
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
 #include "core/experiments.hpp"
 #include "core/scheduler_stream.hpp"
 #include "obs/metrics.hpp"
+#include "simmpi/communicator.hpp"
 #include "simnet/graph_network.hpp"
+#include "simnet/network.hpp"
 #include "simnet/traffic.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/sweep.hpp"
@@ -256,6 +259,35 @@ TEST(ObsDeterminismTest, CapsWorkCountersRepeatAtAnyThreadCount) {
     EXPECT_EQ(registry.counter_value("net.torus.flows"), 1228342u)
         << "threads=" << threads;
     EXPECT_EQ(registry.counter_value("net.torus.ring_updates"), 113484u)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ObsDeterminismTest, FftWorkCountersRepeatAtAnyThreadCount) {
+  // rank_messages counts the rank messages it aggregates
+  // (simmpi.rank_messages) and the node flows it emits (simmpi.node_flows);
+  // route_all counts the flows it routes. One FFT call, 2048 ranks on a
+  // one-midplane torus (4 per node, so the first two butterfly phases stay
+  // on node), pins all three, and its time, at 1, 3 and 8 threads.
+  ASSERT_EQ(obs::Registry::current(), nullptr);
+  const simnet::TorusNetwork network(bgq::Geometry(1, 1, 1, 1).node_torus());
+  const simmpi::Communicator comm(&network, simmpi::RankMap(2048, 512));
+  const apps::FftParams params{2048 * 64, 16.0};
+  const double reference = apps::simulate_fft_communication(comm, params);
+  for (const int threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ScopedKernelPool kernel_pool(pool);
+    obs::Registry registry;
+    {
+      obs::ScopedRegistry scoped(registry);
+      EXPECT_EQ(apps::simulate_fft_communication(comm, params), reference)
+          << "threads=" << threads;
+    }
+    EXPECT_EQ(registry.counter_value("simmpi.rank_messages"), 22528u)
+        << "threads=" << threads;
+    EXPECT_EQ(registry.counter_value("simmpi.node_flows"), 4608u)
+        << "threads=" << threads;
+    EXPECT_EQ(registry.counter_value("net.torus.flows"), 4608u)
         << "threads=" << threads;
   }
 }

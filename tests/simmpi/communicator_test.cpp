@@ -1,10 +1,18 @@
-// Simulated-MPI tests: phase timing, node aggregation of rank messages,
-// and the grouped all-to-all pattern (the CAPS building block).
+// Simulated-MPI tests: phase timing, node aggregation of rank messages
+// (bit-exact against an ordered-map reference), and the grouped
+// all-to-all pattern (the CAPS building block).
 #include "simmpi/communicator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "sweep/pool.hpp"
 
 namespace npac::simmpi {
 namespace {
@@ -55,6 +63,83 @@ TEST(CommunicatorTest, RankMessagesAggregateByNodePair) {
     if (flow.src == 0 && flow.dst == 1) node0_to_node1 = flow.bytes;
   }
   EXPECT_DOUBLE_EQ(node0_to_node1, 12.0);
+}
+
+// The ordered-map aggregation rank_messages must reproduce bit for bit:
+// flows in (src, dst) order, each pair's bytes summed from 0.0 in message
+// order.
+std::vector<simnet::Flow> map_rank_messages(
+    const RankMap& map, const std::vector<Communicator::RankMessage>& messages) {
+  std::map<std::pair<topo::VertexId, topo::VertexId>, double> aggregated;
+  for (const Communicator::RankMessage& message : messages) {
+    const topo::VertexId src = map.node_of(message.src);
+    const topo::VertexId dst = map.node_of(message.dst);
+    if (src == dst) continue;
+    aggregated[{src, dst}] += message.bytes;
+  }
+  std::vector<simnet::Flow> flows;
+  for (const auto& [key, bytes] : aggregated) {
+    flows.push_back({key.first, key.second, bytes});
+  }
+  return flows;
+}
+
+TEST(CommunicatorTest, RankMessagesMatchOrderedMapBitForBit) {
+  // 24 nodes with odd, even and length-2 dimensions; more ranks than nodes
+  // (uneven), fewer ranks than nodes, and one rank per node; every mapping
+  // strategy. The messages repeat pairs many times with bytes that are not
+  // dyadic and span nine orders of magnitude, so any change in summation
+  // order moves low bits; self-sends and intra-node messages are mixed in.
+  const auto net = unit_network({4, 3, 2});
+  for (const std::int64_t ranks : {100, 16, 24}) {
+    for (const MappingStrategy strategy :
+         {MappingStrategy::kBlocked, MappingStrategy::kStrided,
+          MappingStrategy::kRandom}) {
+      const RankMap map = RankMap::with_mapping(ranks, 24, strategy, 5);
+      const Communicator comm(&net, map);
+      std::vector<Communicator::RankMessage> messages;
+      for (std::int64_t i = 0; i < 3000; ++i) {
+        const std::uint64_t draw = sweep::task_seed(ranks, i);
+        const auto src = static_cast<std::int64_t>(
+            draw % static_cast<std::uint64_t>(ranks));
+        const auto dst =
+            i % 11 == 0 ? src
+                        : static_cast<std::int64_t>(
+                              (draw >> 20) % static_cast<std::uint64_t>(ranks));
+        const double bytes = 1.0 / static_cast<double>(1 + (draw >> 40) % 7) +
+                             (i % 97 == 0 ? 1.0e9 : 0.0);
+        messages.push_back({src, dst, i % 31 == 0 ? 0.0 : bytes});
+      }
+      const auto got = comm.rank_messages(messages);
+      const auto want = map_rank_messages(map, messages);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_GT(want.size(), 10u);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].src, want[i].src) << "flow " << i;
+        EXPECT_EQ(got[i].dst, want[i].dst) << "flow " << i;
+        EXPECT_EQ(std::memcmp(&got[i].bytes, &want[i].bytes, sizeof(double)), 0)
+            << "flow " << i << ": " << got[i].bytes << " vs " << want[i].bytes;
+      }
+    }
+  }
+}
+
+TEST(CommunicatorTest, RankMessagesSumFromPositiveZero) {
+  // As the map's value-initialised entry: a pair that only ever carries
+  // -0.0 bytes gets a +0.0 flow.
+  const auto net = unit_network({4});
+  const Communicator comm(&net, RankMap(8, 4));
+  const auto flows = comm.rank_messages({{0, 2, -0.0}, {1, 3, -0.0}});
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_FALSE(std::signbit(flows[0].bytes));
+}
+
+TEST(CommunicatorTest, RankMessagesRejectOutOfRangeRanks) {
+  const auto net = unit_network({4});
+  const Communicator comm(&net, RankMap(8, 4));
+  EXPECT_THROW(comm.rank_messages({{0, 8, 1.0}}), std::out_of_range);
+  EXPECT_THROW(comm.rank_messages({{-1, 0, 1.0}}), std::out_of_range);
+  EXPECT_TRUE(comm.rank_messages({}).empty());
 }
 
 TEST(CommunicatorTest, GroupAllToAllRequiresDivisibility) {

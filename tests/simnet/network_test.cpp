@@ -1,12 +1,16 @@
-// Flow-level simulator tests: per-channel routing, minimal ring paths,
-// antipodal tie splitting, flow conservation, and the max-congestion
+// Flow-level simulator tests: per-channel routing (bit for bit against a
+// per-hop coordinate walker), minimal ring paths, antipodal tie splitting,
+// flow conservation, the size guard, and the max-congestion
 // completion-time model.
 #include "simnet/network.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "sweep/pool.hpp"
 
@@ -231,6 +235,102 @@ TEST(NetworkTest, PathHops) {
   EXPECT_EQ(net.path_hops({net.torus().index_of({0, 0}),
                            net.torus().index_of({4, 2}), 1.0}),
             4 + 2);
+}
+
+// Dimension-ordered minimal routing as a per-hop walk over coordinate
+// vectors: coord_of per flow and index_of per hop, the reference the
+// incremental-index router must reproduce bit for bit.
+LinkLoads coordinate_route_all(const topo::Torus& torus, TieBreak tie,
+                               std::span<const Flow> flows) {
+  LinkLoads loads(torus.num_vertices(), torus.num_dims());
+  for (const Flow& flow : flows) {
+    if (flow.src == flow.dst || flow.bytes == 0.0) continue;
+    topo::Coord at = torus.coord_of(flow.src);
+    const topo::Coord to = torus.coord_of(flow.dst);
+    for (std::size_t dim = 0; dim < torus.num_dims(); ++dim) {
+      const std::int64_t a = torus.dims()[dim];
+      if (at[dim] == to[dim]) continue;
+      const std::int64_t forward = ((to[dim] - at[dim]) % a + a) % a;
+      const std::int64_t backward = a - forward;
+      const auto walk = [&](int direction, std::int64_t hops, double weight) {
+        topo::Coord c = at;
+        for (std::int64_t step = 0; step < hops; ++step) {
+          loads.at(torus.index_of(c), dim, direction) += weight;
+          c[dim] = direction == 0 ? (c[dim] + 1) % a : (c[dim] - 1 + a) % a;
+        }
+      };
+      if (a == 2) {
+        walk(0, 1, flow.bytes);
+      } else if (forward < backward) {
+        walk(0, forward, flow.bytes);
+      } else if (backward < forward) {
+        walk(1, backward, flow.bytes);
+      } else if (tie == TieBreak::kSplit) {
+        walk(0, forward, flow.bytes / 2.0);
+        walk(1, backward, flow.bytes / 2.0);
+      } else {
+        walk(0, forward, flow.bytes);
+      }
+      at[dim] = to[dim];
+    }
+  }
+  return loads;
+}
+
+TEST(NetworkTest, RouteAllMatchesCoordinateWalkerBitForBit) {
+  // Every ordered pair, plus self and zero-byte flows, on tori with
+  // length-1, length-2, odd and even dimensions (even ones make antipodal
+  // ties), under both tie-breaks. Up to 1023 flows route as one chunk in
+  // flow order, so non-dyadic bytes must match exactly; the larger tori
+  // route in several chunks, so their bytes are small integers, whose
+  // sums are exact in any order.
+  for (const topo::Dims& dims :
+       std::vector<topo::Dims>{{2},
+                               {5},
+                               {6},
+                               {4, 1, 3},
+                               {2, 2, 2},
+                               {6, 2, 3},
+                               {1, 4, 1, 4},
+                               {7, 1, 6},
+                               {4, 4, 2, 2}}) {
+    const topo::Torus torus(dims);
+    std::vector<Flow> flows;
+    for (topo::VertexId u = 0; u < torus.num_vertices(); ++u) {
+      for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
+        flows.push_back({u, v, (u * 7 + v) % 5 == 0 ? 0.0 : 1.0});
+      }
+    }
+    const bool one_chunk = flows.size() < 1024;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (flows[i].bytes == 0.0) continue;
+      flows[i].bytes = one_chunk ? 1.0 / static_cast<double>(3 + i % 11)
+                                 : static_cast<double>(1 + i % 9);
+    }
+    for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
+      NetworkOptions options;
+      options.tie_break = tie;
+      const TorusNetwork net(torus, options);
+      const LinkLoads got = net.route_all(flows);
+      const LinkLoads want = coordinate_route_all(torus, tie, flows);
+      ASSERT_EQ(got.raw().size(), want.raw().size());
+      EXPECT_EQ(std::memcmp(got.raw().data(), want.raw().data(),
+                            want.raw().size() * sizeof(double)),
+                0)
+          << torus.to_string() << (tie == TieBreak::kSplit ? " split" : " positive");
+    }
+  }
+}
+
+TEST(NetworkTest, RejectsToriWithMoreThanUint32Vertices) {
+  // 65536 x 65537 vertices is past 2^32 - 1: vertex ids no longer fit the
+  // router's 32-bit decomposition. route_flow must refuse before it
+  // touches the (here one-node) loads; the test never sizes loads for the
+  // whole torus.
+  const TorusNetwork net(topo::Torus({65536, 65537}));
+  LinkLoads one_node(1, 2);
+  EXPECT_THROW(net.route_flow({0, 1, 1.0}, one_node), std::invalid_argument);
+  for (const double load : one_node.raw()) EXPECT_EQ(load, 0.0);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Traffic-pattern generator tests: furthest-node pairing (Experiment A's
-// driver), permutations, all-to-all, and halo exchange.
+// driver), permutations, all-to-all, and halo exchange (flow for flow
+// against a coordinate-vector reference).
 #include "simnet/traffic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 namespace npac::simnet {
 namespace {
@@ -76,6 +79,18 @@ TEST(RandomPermutationTest, DeterministicInSeed) {
   EXPECT_TRUE(differs);
 }
 
+TEST(RandomPermutationTest, PinnedOutput) {
+  // A Fisher-Yates shuffle over sweep::task_seed draws: the same
+  // permutation on every standard library. Node 1 is a fixed point and
+  // sends nothing.
+  const auto flows = random_permutation(topo::Torus({4, 2}), 1.0, 42);
+  std::vector<std::pair<topo::VertexId, topo::VertexId>> pairs;
+  for (const Flow& flow : flows) pairs.emplace_back(flow.src, flow.dst);
+  const std::vector<std::pair<topo::VertexId, topo::VertexId>> pinned = {
+      {0, 6}, {2, 3}, {3, 7}, {4, 5}, {5, 0}, {6, 2}, {7, 4}};
+  EXPECT_EQ(pairs, pinned);
+}
+
 TEST(UniformAllToAllTest, VolumeAndFanout) {
   const topo::Torus torus({4, 2});
   const auto flows = uniform_all_to_all(torus, 14.0);
@@ -107,6 +122,52 @@ TEST(HaloTest, LengthTwoDimSendsOnce) {
   const topo::Torus torus({2});
   const auto flows = nearest_neighbor_halo(torus, 1.0);
   EXPECT_EQ(flows.size(), 2u);  // one per node
+}
+
+// The halo as the per-neighbour coordinate walk it replaces: coord_of per
+// vertex, index_of per neighbour.
+std::vector<Flow> coordinate_halo(const topo::Torus& torus, double bytes) {
+  std::vector<Flow> flows;
+  for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
+    const topo::Coord c = torus.coord_of(v);
+    for (std::size_t dim = 0; dim < torus.num_dims(); ++dim) {
+      const std::int64_t a = torus.dims()[dim];
+      if (a == 1) continue;
+      topo::Coord fwd = c;
+      fwd[dim] = (c[dim] + 1) % a;
+      flows.push_back({v, torus.index_of(fwd), bytes});
+      if (a > 2) {
+        topo::Coord back = c;
+        back[dim] = (c[dim] - 1 + a) % a;
+        flows.push_back({v, torus.index_of(back), bytes});
+      }
+    }
+  }
+  return flows;
+}
+
+TEST(HaloTest, MatchesCoordinateWalkFlowForFlow) {
+  for (const topo::Dims& dims :
+       std::vector<topo::Dims>{{1},
+                               {2},
+                               {3},
+                               {1, 1},
+                               {4, 1, 3},
+                               {2, 5, 2},
+                               {6, 4, 1, 2},
+                               {3, 2, 7, 1, 4}}) {
+    const topo::Torus torus(dims);
+    const auto got = nearest_neighbor_halo(torus, 0.1);
+    const auto want = coordinate_halo(torus, 0.1);
+    ASSERT_EQ(got.size(), want.size()) << torus.to_string();
+    EXPECT_EQ(got.size(),
+              static_cast<std::size_t>(torus.num_vertices()) * torus.degree());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].src, want[i].src) << torus.to_string() << " flow " << i;
+      EXPECT_EQ(got[i].dst, want[i].dst) << torus.to_string() << " flow " << i;
+      EXPECT_EQ(std::memcmp(&got[i].bytes, &want[i].bytes, sizeof(double)), 0);
+    }
+  }
 }
 
 }  // namespace
