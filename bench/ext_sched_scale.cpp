@@ -17,6 +17,7 @@
 // 10^6 (the acceptance run); --fast trims to 10^3/10^4. --filter works on
 // the "family/policy/jobs" row labels.
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -64,9 +65,14 @@ void digest_record(std::uint64_t& hash, const core::ScheduledJob& record) {
   }
 }
 
+/// One family's machine. `make` builds a fresh allocator that scores its
+/// layouts through `oracle`, so rows sharing the runner's SweepContext
+/// score each machine's layouts once.
 struct ScaleMachine {
   std::string name;
-  std::function<std::unique_ptr<core::PartitionAllocator>()> make;
+  std::function<std::unique_ptr<core::PartitionAllocator>(
+      const core::PartitionOracle& oracle)>
+      make;
 };
 
 std::vector<ScaleMachine> scale_machines() {
@@ -76,13 +82,19 @@ std::vector<ScaleMachine> scale_machines() {
   dragonfly.groups = 8;
   dragonfly.global_ports = 1;
   return {
-      {"mira", [] { return core::make_allocator(bgq::mira()); }},
+      {"mira",
+       [](const core::PartitionOracle& oracle) {
+         return core::make_allocator(bgq::mira(), oracle);
+       }},
       {"dragonfly",
-       [dragonfly] {
-         return core::make_allocator(topo::TopologySpec::dragonfly(dragonfly));
+       [dragonfly](const core::PartitionOracle& oracle) {
+         return core::make_allocator(topo::TopologySpec::dragonfly(dragonfly),
+                                     oracle);
        }},
       {"fattree",
-       [] { return core::make_allocator(topo::TopologySpec::fat_tree(8)); }},
+       [](const core::PartitionOracle& oracle) {
+         return core::make_allocator(topo::TopologySpec::fat_tree(8), oracle);
+       }},
   };
 }
 
@@ -159,7 +171,7 @@ int main(int argc, char** argv) {
         };
         grid.cells = [&](std::int64_t i, std::uint64_t) {
           const Case& c = cases[static_cast<std::size_t>(i)];
-          const auto allocator = machines[c.machine].make();
+          const auto allocator = machines[c.machine].make(runner.context());
           const auto sizes = core::feasible_unit_sizes(*allocator);
           sweep::SyntheticJobSource source(
               sizes, scale_config(*allocator, sizes, c.jobs), seed);

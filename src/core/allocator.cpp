@@ -2,13 +2,32 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
 #include "support/hot.hpp"
 
 namespace npac::core {
+
+namespace {
+
+/// Longest decimal rendering of an int64: a sign and 19 digits.
+constexpr std::size_t kMaxIntChars = 20;
+
+/// Writes `value` in decimal at `out` (kMaxIntChars bytes of room) and
+/// returns the end. std::to_chars ignores the locale, so a label renders
+/// the same bytes in every environment (DESIGN.md decision #21).
+char* put_int(char* out, std::int64_t value) {
+  return std::to_chars(out, out + kMaxIntChars, value).ptr;
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  char digits[kMaxIntChars];
+  out.append(digits, put_int(digits, value));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PartitionOracle
@@ -106,11 +125,21 @@ std::int64_t Placement::midplanes() const {
 bgq::Geometry Placement::geometry() const { return bgq::Geometry(extent); }
 
 std::string Placement::to_string() const {
-  std::ostringstream out;
-  out << extent[0] << "x" << extent[1] << "x" << extent[2] << "x" << extent[3]
-      << "@(" << origin[0] << "," << origin[1] << "," << origin[2] << ","
-      << origin[3] << ")";
-  return out.str();
+  // "AxBxCxD@(a,b,c,d)": eight integers and nine separator bytes.
+  char buffer[8 * kMaxIntChars + 9];
+  char* end = buffer;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (i > 0) *end++ = 'x';
+    end = put_int(end, extent[i]);
+  }
+  *end++ = '@';
+  *end++ = '(';
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (i > 0) *end++ = ',';
+    end = put_int(end, origin[i]);
+  }
+  *end++ = ')';
+  return std::string(buffer, end);
 }
 
 MidplaneGrid::MidplaneGrid(bgq::Machine machine)
@@ -417,15 +446,18 @@ namespace {
 /// by ascending id; kBestFit the ones with the least free slack (tightest
 /// fit), ties by ascending id. The chosen ids are listed ascending either
 /// way. nullopt (and nothing occupied) when fewer than `blocks` qualify.
+/// `qualifying` is the caller's scratch, so a placement allocates only its
+/// label.
 std::optional<Partition> place_in_containers(
     OwnerArray& owners, std::int64_t container_size, std::int64_t blocks,
     std::int64_t per_block, PositionScoring scoring, std::int64_t job_id,
-    const char* unit, const char* container) {
+    const char* unit, const char* container,
+    std::vector<std::pair<std::int64_t, std::int64_t>>& qualifying) {
   const std::int64_t containers = owners.size() / container_size;
   const auto slot = [container_size](std::int64_t c, std::int64_t u) {
     return static_cast<std::size_t>(c * container_size + u);
   };
-  std::vector<std::pair<std::int64_t, std::int64_t>> qualifying;  // (free, id)
+  qualifying.clear();  // (free, id)
   for (std::int64_t c = 0; c < containers; ++c) {
     if (scoring == PositionScoring::kScanOrder &&
         static_cast<std::int64_t>(qualifying.size()) == blocks) {
@@ -446,8 +478,16 @@ std::optional<Partition> place_in_containers(
     std::sort(qualifying.begin(), qualifying.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
   }
-  std::ostringstream label;
-  label << per_block << unit << " x " << blocks << container << "@{";
+  // Appended in place, so a short label (most are) stays in the string's
+  // inline buffer.
+  Partition partition;
+  std::string& label = partition.label;
+  append_int(label, per_block);
+  label += unit;
+  label += " x ";
+  append_int(label, blocks);
+  label += container;
+  label += "@{";
   for (std::size_t i = 0; i < qualifying.size(); ++i) {
     const std::int64_t c = qualifying[i].second;
     std::int64_t taken = 0;
@@ -457,11 +497,10 @@ std::optional<Partition> place_in_containers(
         ++taken;
       }
     }
-    label << (i > 0 ? "," : "") << c;
+    if (i > 0) label += ',';
+    append_int(label, c);
   }
-  label << "}";
-  Partition partition;
-  partition.label = label.str();
+  label += '}';
   partition.units = blocks * per_block;
   return partition;
 }
@@ -551,7 +590,7 @@ std::optional<Partition> DragonflyAllocator::try_place(std::int64_t size,
   const Layout& layout = layouts.at(candidate);
   auto partition = place_in_containers(
       owners_, config_.h, layout.groups, layout.chassis_per_group,
-      position_scoring(), job_id, "ch", "gr");
+      position_scoring(), job_id, "ch", "gr", qualifying_);
   if (partition) {
     partition->quality = layout.quality;
     partition->best_quality = layouts.front().quality;
@@ -579,14 +618,15 @@ std::int64_t FatTreeAllocator::total_units() const {
   return config_.k * (config_.k / 2);  // k pods x k/2 edge subtrees
 }
 
+bool FatTreeAllocator::spans(std::int64_t size, std::int64_t pods) const {
+  return size >= 1 && size <= total_units() && size % pods == 0 &&
+         size / pods <= config_.k / 2;
+}
+
 std::vector<std::int64_t> FatTreeAllocator::pods_for(std::int64_t size) const {
   std::vector<std::int64_t> pods;
-  if (size >= 1 && size <= total_units()) {
-    for (std::int64_t p = 1; p <= config_.k; ++p) {
-      if (size % p != 0) continue;
-      if (size / p > config_.k / 2) continue;
-      pods.push_back(p);
-    }
+  for (std::int64_t p = 1; p <= config_.k; ++p) {
+    if (spans(size, p)) pods.push_back(p);
   }
   return pods;
 }
@@ -607,9 +647,19 @@ double FatTreeAllocator::block_quality(std::int64_t size) const {
 std::optional<Partition> FatTreeAllocator::try_place(std::int64_t size,
                                                      std::size_t candidate,
                                                      std::int64_t job_id) {
-  const std::int64_t p = pods_for(size).at(candidate);
-  auto partition = place_in_containers(owners_, config_.k / 2, p, size / p,
-                                       position_scoring(), job_id, "st", "pod");
+  // The pods_for(size) entry at `candidate`, without building the list.
+  std::int64_t p = 0;
+  for (std::size_t seen = 0; seen <= candidate;) {
+    if (++p > config_.k) {
+      throw std::out_of_range("FatTreeAllocator::try_place: no layout class " +
+                              std::to_string(candidate) + " for size " +
+                              std::to_string(size));
+    }
+    if (spans(size, p)) ++seen;
+  }
+  auto partition =
+      place_in_containers(owners_, config_.k / 2, p, size / p,
+                          position_scoring(), job_id, "st", "pod", qualifying_);
   if (partition) {
     partition->quality = block_quality(size);
     partition->best_quality = partition->quality;

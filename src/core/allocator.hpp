@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgq/policy.hpp"
@@ -403,6 +404,8 @@ class DragonflyAllocator final : public PartitionAllocator {
   const PartitionOracle* oracle_;
   OwnerArray owners_;  // chassis, h per group
   mutable std::map<std::int64_t, std::vector<Layout>> layouts_;
+  /// try_place's (free chassis, group) scratch, reused across placements.
+  std::vector<std::pair<std::int64_t, std::int64_t>> qualifying_;
 };
 
 /// Fat-tree family: allocation units are edge-switch subtrees (k/2 hosts).
@@ -434,9 +437,13 @@ class FatTreeAllocator final : public PartitionAllocator {
  private:
   /// The flat Clos quality of any s-subtree block: s * k/4 * capacity.
   double block_quality(std::int64_t size) const;
+  /// True when a block of `size` subtrees spreads evenly over `pods` pods.
+  bool spans(std::int64_t size, std::int64_t pods) const;
 
   topo::FatTreeConfig config_;
   OwnerArray owners_;  // edge subtrees, k/2 per pod
+  /// try_place's (free subtrees, pod) scratch, reused across placements.
+  std::vector<std::pair<std::int64_t, std::int64_t>> qualifying_;
 };
 
 // ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ StreamStats StreamingScheduler::run(JobSource& source,
     if (sink) sink(record);
   };
 
+  // The running jobs by finish time, re-sorted by each backfill pass into
+  // this one buffer.
+  std::vector<Completion> order;
+
   // EASY backfill: with the head blocked, later jobs may jump ahead when
   // they provably cannot delay the head's unit-based reservation — they
   // finish by the head's shadow start time, or they fit in the units the
@@ -236,7 +240,7 @@ StreamStats StreamingScheduler::run(JobSource& source,
   // the reservation is recomputed after every hit.
   const auto backfill_pass = [&]() -> bool {
     bool placed_any = false;
-    std::vector<Completion> order(heap.begin(), heap.end());
+    order.assign(heap.begin(), heap.end());
     std::sort(order.begin(), order.end(),
               [](const Completion& a, const Completion& b) {
                 if (a.finish_seconds != b.finish_seconds) {

@@ -15,11 +15,13 @@
 
 #include <algorithm>
 #include <array>
+#include <locale>
 #include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -42,6 +44,7 @@ std::uint64_t fnv1a(const std::string& text) {
 
 std::string schedule_digest(const ScheduleResult& result) {
   std::ostringstream digest;
+  digest.imbue(std::locale::classic());  // the same bytes under any locale
   for (const auto& record : result.jobs) {
     digest << record.job.id << "," << record.job.midplanes << ","
            << record.partition.label << ","
@@ -555,6 +558,8 @@ TEST(FatTreeAllocatorTest, QualityIsFlatAcrossLayouts) {
   // Layouts are pods ascending (compact first).
   const auto pods = allocator.pods_for(8);
   EXPECT_EQ(pods, (std::vector<std::int64_t>{2, 4, 8}));
+  EXPECT_THROW(allocator.try_place(8, pods.size(), 0), std::out_of_range);
+  EXPECT_EQ(allocator.free_units(), 32);
 }
 
 TEST(FatTreeAllocatorTest, FragmentationForcesMultiPodBlocks) {
@@ -801,6 +806,109 @@ TEST(FamilyPinTest, ReproducesPinnedSchedulesBitExactly) {
         << golden.family << " / " << to_string(golden.policy) << " / "
         << to_string(golden.scoring);
   }
+}
+
+// -------------------------------------------------------------------------
+// Label bytes. Every pinned schedule above has single-digit label fields
+// only, so these pin labels whose numbers have two or more digits,
+// captured from the stream-based renderer the to_chars one replaced.
+// -------------------------------------------------------------------------
+
+const std::vector<std::string> kMultiDigitLabels = {
+    "1x2x2x2@(10,0,0,0)",
+    "1x2x2x2@(11,0,0,0)",
+    "12x1x1x1@(0,0,0,0)",
+    "1ch x 12gr@{0,1,2,3,4,5,6,7,8,9,10,11}",
+    "2ch x 1gr@{10}",
+    "2ch x 1gr@{11}",
+    "1st x 22pod@{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21}",
+    "11st x 1pod@{10}",
+    "11st x 1pod@{11}",
+};
+
+/// The labels kMultiDigitLabels pins, placed afresh on every call.
+std::vector<std::string> multi_digit_labels() {
+  std::vector<std::string> labels;
+  // A 12x2x2x2 midplane grid: 1x2x2x2 slabs fill the long axis in scan
+  // order, so the 11th and 12th sit at origins 10 and 11; layout class 2
+  // of 12 midplanes is the 12x1x1x1 line.
+  const auto grid = topo::TopologySpec::torus({2, 2, 2, 12});
+  const auto torus = make_allocator(grid);
+  for (std::int64_t job = 0; job < 12; ++job) {
+    const std::string label = torus->try_place(8, 0, job).value().label;
+    if (job >= 10) labels.push_back(label);
+  }
+  labels.push_back(make_allocator(grid)->try_place(12, 2, 0).value().label);
+
+  // 12 groups of 2 chassis: class 1 of 12 chassis spreads one per group;
+  // after it is released, 2-chassis jobs fill groups 0..11 in order.
+  topo::DragonflyConfig config;
+  config.a = 4;
+  config.h = 2;
+  config.groups = 12;
+  config.global_ports = 3;
+  DragonflyAllocator dragonfly(config);
+  labels.push_back(dragonfly.try_place(12, 1, 0).value().label);
+  dragonfly.release(0);
+  for (std::int64_t job = 0; job < 12; ++job) {
+    const std::string label = dragonfly.try_place(2, 0, job).value().label;
+    if (job >= 10) labels.push_back(label);
+  }
+
+  // k = 22: 22 pods of 11 edge subtrees. Class 2 of 22 subtrees spreads
+  // one per pod; after it is released, 11-subtree jobs fill pods in order.
+  FatTreeAllocator fat_tree({22, 1.0});
+  labels.push_back(fat_tree.try_place(22, 2, 0).value().label);
+  fat_tree.release(0);
+  for (std::int64_t job = 0; job < 12; ++job) {
+    const std::string label = fat_tree.try_place(11, 0, job).value().label;
+    if (job >= 10) labels.push_back(label);
+  }
+  return labels;
+}
+
+TEST(LabelBytesTest, MultiDigitFieldsRenderExactly) {
+  EXPECT_EQ(multi_digit_labels(), kMultiDigitLabels);
+}
+
+/// Groups every digit, so a stream that takes this locale prints 10 as
+/// "1,0".
+struct GroupEveryDigit : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\1"; }
+};
+
+/// Installs `locale` as the global locale for its lifetime.
+class ScopedGlobalLocale {
+ public:
+  explicit ScopedGlobalLocale(const std::locale& locale)
+      : previous_(std::locale::global(locale)) {}
+  ~ScopedGlobalLocale() { std::locale::global(previous_); }
+
+  ScopedGlobalLocale(const ScopedGlobalLocale&) = delete;
+  ScopedGlobalLocale& operator=(const ScopedGlobalLocale&) = delete;
+
+ private:
+  std::locale previous_;
+};
+
+TEST(LabelBytesTest, LabelsIgnoreTheGlobalLocale) {
+  const ScopedGlobalLocale grouping(
+      std::locale(std::locale::classic(), new GroupEveryDigit));
+  std::ostringstream stream;  // a new stream takes the global locale
+  stream << 10;
+  ASSERT_EQ(stream.str(), "1,0");
+
+  EXPECT_EQ(multi_digit_labels(), kMultiDigitLabels);
+  const GoldenSchedule& golden = kGoldenSchedules[0];
+  const bgq::Machine machine = machine_by_name(golden.machine);
+  sweep::TraceConfig config;
+  config.num_jobs = 24;
+  const auto result =
+      simulate_schedule(*make_allocator(machine), golden.policy,
+                        sweep::generate_trace(machine, config, 2020));
+  EXPECT_EQ(fnv1a(schedule_digest(result)), golden.digest_hash)
+      << golden.machine << " / " << to_string(golden.policy);
 }
 
 TEST(SimulateScheduleTest, RunsOnDragonflyAndFatTreeFamilies) {
