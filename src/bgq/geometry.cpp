@@ -1,8 +1,9 @@
 #include "bgq/geometry.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "support/decimal.hpp"
 
 namespace npac::bgq {
 
@@ -47,12 +48,12 @@ bool Geometry::fits_in(const Geometry& host) const {
 }
 
 std::string Geometry::to_string() const {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < 4; ++i) {
-    if (i > 0) os << " x ";
-    os << dims_[i];
+    if (i > 0) out += " x ";
+    support::append_int(out, dims_[i]);
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace npac::bgq

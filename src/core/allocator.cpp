@@ -2,32 +2,17 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <stdexcept>
 #include <utility>
 
+#include "support/decimal.hpp"
 #include "support/hot.hpp"
 
 namespace npac::core {
 
-namespace {
-
-/// Longest decimal rendering of an int64: a sign and 19 digits.
-constexpr std::size_t kMaxIntChars = 20;
-
-/// Writes `value` in decimal at `out` (kMaxIntChars bytes of room) and
-/// returns the end. std::to_chars ignores the locale, so a label renders
-/// the same bytes in every environment (DESIGN.md decision #21).
-char* put_int(char* out, std::int64_t value) {
-  return std::to_chars(out, out + kMaxIntChars, value).ptr;
-}
-
-void append_int(std::string& out, std::int64_t value) {
-  char digits[kMaxIntChars];
-  out.append(digits, put_int(digits, value));
-}
-
-}  // namespace
+using support::append_int;
+using support::kMaxIntChars;
+using support::put_int;
 
 // ---------------------------------------------------------------------------
 // PartitionOracle

@@ -13,12 +13,14 @@ namespace {
 
 /// y = (cI - L) x where L is the weighted Laplacian and c a shift making the
 /// operator PSD with the Fiedler vector as its second-largest eigenvector.
-void apply_shifted(const topo::Graph& graph, double shift,
+/// `diagonal[v]` is c - degree_capacity(v), the operator's diagonal.
+void apply_shifted(const topo::Graph& graph,
+                   const std::vector<double>& diagonal,
                    const std::vector<double>& x, std::vector<double>& y) {
   const auto n = graph.num_vertices();
   for (topo::VertexId v = 0; v < n; ++v) {
-    double acc = (shift - graph.degree_capacity(v)) *
-                 x[static_cast<std::size_t>(v)];
+    double acc =
+        diagonal[static_cast<std::size_t>(v)] * x[static_cast<std::size_t>(v)];
     for (const topo::Arc& a : graph.neighbors(v)) {
       acc += a.capacity * x[static_cast<std::size_t>(a.to)];
     }
@@ -55,6 +57,10 @@ std::vector<double> fiedler_vector(const topo::Graph& graph,
     max_degree = std::max(max_degree, graph.degree_capacity(v));
   }
   const double shift = 2.0 * max_degree + 1.0;
+  std::vector<double> diagonal(static_cast<std::size_t>(n));
+  for (topo::VertexId v = 0; v < n; ++v) {
+    diagonal[static_cast<std::size_t>(v)] = shift - graph.degree_capacity(v);
+  }
 
   std::mt19937_64 rng(options.seed);
   std::uniform_real_distribution<double> uniform(-1.0, 1.0);
@@ -66,7 +72,7 @@ std::vector<double> fiedler_vector(const topo::Graph& graph,
   std::vector<double> y(static_cast<std::size_t>(n));
   std::vector<double> prev = x;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    apply_shifted(graph, shift, x, y);
+    apply_shifted(graph, diagonal, x, y);
     deflate_ones(y);
     if (normalize(y) == 0.0) {
       // Degenerate (e.g. disconnected with symmetric start); restart.

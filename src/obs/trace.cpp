@@ -139,10 +139,10 @@ ScopedTimer::~ScopedTimer() {
   TraceEvent event;
   event.name = std::move(name_);
   event.category = std::move(category_);
+  // Both ends are truncated to the same microsecond grid, so a span that
+  // encloses another in time also encloses it in the recorded numbers.
   event.ts_us = buffer_->to_ts_us(start_);
-  event.dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     end - start_)
-                     .count();
+  event.dur_us = buffer_->to_ts_us(end) - event.ts_us;
   event.pid = kWallPid;
   event.tid = trace_thread_id();
   buffer_->add(std::move(event));

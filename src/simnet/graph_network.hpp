@@ -31,9 +31,10 @@
 namespace npac::simnet {
 
 /// Per-thread routing arena (defined in graph_network.cpp): BFS scratch,
-/// per-vertex weights, the counting-sort level buckets, and the
-/// advancing-arc CSR overlay, all reused across destinations and calls so
-/// the routing pipeline is allocation-free after warm-up.
+/// per-vertex weights, the counting-sort level buckets, the advancing-arc
+/// overlay and a chunk's sparse per-arc loads, all reused across
+/// destinations and calls so the routing pipeline is allocation-free after
+/// warm-up.
 struct RoutingScratch;
 
 /// One flow as a destination group's routing kernel sees it: the
@@ -56,8 +57,9 @@ class GraphNetwork final : public Network {
   std::int64_t num_nodes() const override { return graph_.num_vertices(); }
   std::size_t num_channels() const override { return graph_.num_arcs(); }
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// Groups flows by destination (one BFS per distinct destination) and
-  /// accumulates fixed-size chunks of groups in chunk order, so results are
+  /// Groups flows by destination (one BFS per distinct destination, stopped
+  /// at its farthest source) and accumulates fixed-size chunks of groups
+  /// into sparse per-chunk loads merged in chunk order, so results are
   /// identical for every thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   std::int64_t path_hops(const Flow& flow) const override;
@@ -76,12 +78,15 @@ class GraphNetwork final : public Network {
 
  private:
   /// Routes every flow of one destination group (all flows share `dst`)
-  /// into `loads`: one BFS + counting-sort level build + advancing-arc
-  /// overlay and one weight propagation pass. Flows must already be
-  /// validated (validate_flow); unreachable destinations still throw here,
-  /// where the BFS result exists.
-  void route_group(topo::VertexId dst, std::span<const GroupFlow> flows,
-                   double* loads, RoutingScratch& scratch) const;
+  /// into the scratch's current chunk loads: one BFS + overlay that stops
+  /// at the farthest source, a counting-sort level build and one weight
+  /// propagation pass. Returns the arcs the BFS scanned. The scratch must
+  /// be prepared for this graph and inside a chunk (begin_chunk). Flows
+  /// must already be validated (validate_flow); unreachable destinations
+  /// still throw here, where the BFS result exists.
+  std::uint64_t route_group(topo::VertexId dst,
+                            std::span<const GroupFlow> flows,
+                            RoutingScratch& scratch) const;
 
   /// Range/sign validation of one flow, hoisted out of the hot kernels:
   /// throws std::out_of_range on bad vertex ids, std::invalid_argument on

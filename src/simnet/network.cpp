@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -46,8 +47,22 @@ double LinkLoads::at(topo::VertexId node, std::size_t dim,
 }
 
 double LinkLoads::max_load() const {
-  double best = 0.0;
-  for (const double load : loads_) best = std::max(best, load);
+  // Four independent running maxima instead of one loop-carried chain.
+  // Every load is non-negative and std::max keeps its first argument on a
+  // tie or a NaN, so the result does not depend on the scan order.
+  const double* const loads = loads_.data();
+  const std::size_t size = loads_.size();
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= size; i += 4) {
+    lanes[0] = std::max(lanes[0], loads[i]);
+    lanes[1] = std::max(lanes[1], loads[i + 1]);
+    lanes[2] = std::max(lanes[2], loads[i + 2]);
+    lanes[3] = std::max(lanes[3], loads[i + 3]);
+  }
+  double best = std::max(std::max(lanes[0], lanes[1]),
+                         std::max(lanes[2], lanes[3]));
+  for (; i < size; ++i) best = std::max(best, loads[i]);
   return best;
 }
 
@@ -118,36 +133,6 @@ double Network::completion_seconds(std::span<const Flow> flows) const {
 LinkLoads Network::route_exchange(const GroupExchange& exchange) const {
   exchange.check(num_nodes());
   return route_all(exchange.flows());
-}
-
-void route_chunks(std::size_t num_chunks, std::span<double> total,
-                  std::vector<double>& partials,
-                  const std::function<void(std::size_t, double*)>& route_chunk) {
-  const std::size_t channels = total.size();
-  const std::size_t needed = (num_chunks - 1) * channels;
-  if (partials.capacity() < needed) {
-    // At least 32 MiB of address space: the allocator maps a block that
-    // large directly instead of carving it from its heap, so the
-    // long-lived arena never pins freed heap memory below it (which cost
-    // ~50 MB of peak RSS on the Figure 5 runs). Untouched pages cost
-    // nothing.
-    partials.reserve(std::max<std::size_t>(needed, std::size_t{1} << 22));
-  }
-  if (partials.size() < needed) partials.resize(needed);
-  sweep::parallel_for(static_cast<std::int64_t>(num_chunks),
-                      [&](std::int64_t chunk) {
-                        const auto c = static_cast<std::size_t>(chunk);
-                        double* loads = total.data();
-                        if (c > 0) {
-                          loads = partials.data() + (c - 1) * channels;
-                          std::fill(loads, loads + channels, 0.0);
-                        }
-                        route_chunk(c, loads);
-                      });
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    const double* const partial = partials.data() + (c - 1) * channels;
-    for (std::size_t i = 0; i < channels; ++i) total[i] += partial[i];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +215,45 @@ struct RouteScratch {
     }
   }
 };
+
+/// The deterministic parallel accumulation behind TorusNetwork::route_all.
+/// `route_chunk(c, loads)` adds chunk c's flows into `loads`, a zeroed
+/// array of total.size() channels. The chunks run through
+/// sweep::parallel_for: chunk 0 accumulates straight into `total` (which
+/// must start zeroed), every other chunk into its own slice of `partials`
+/// (a caller-owned arena, grown as needed and reused across calls), and the
+/// slices are then added into `total` in chunk order. With a chunk count
+/// derived from the input only, the result is byte-identical whichever
+/// threads ran the chunks.
+void route_chunks(std::size_t num_chunks, std::span<double> total,
+                  std::vector<double>& partials,
+                  const std::function<void(std::size_t, double*)>& route_chunk) {
+  const std::size_t channels = total.size();
+  const std::size_t needed = (num_chunks - 1) * channels;
+  if (partials.capacity() < needed) {
+    // At least 32 MiB of address space: the allocator maps a block that
+    // large directly instead of carving it from its heap, so the
+    // long-lived arena never pins freed heap memory below it (which cost
+    // ~50 MB of peak RSS on the Figure 5 runs). Untouched pages cost
+    // nothing.
+    partials.reserve(std::max<std::size_t>(needed, std::size_t{1} << 22));
+  }
+  if (partials.size() < needed) partials.resize(needed);
+  sweep::parallel_for(static_cast<std::int64_t>(num_chunks),
+                      [&](std::int64_t chunk) {
+                        const auto c = static_cast<std::size_t>(chunk);
+                        double* loads = total.data();
+                        if (c > 0) {
+                          loads = partials.data() + (c - 1) * channels;
+                          std::fill(loads, loads + channels, 0.0);
+                        }
+                        route_chunk(c, loads);
+                      });
+  for (std::size_t c = 1; c < num_chunks; ++c) {
+    const double* const partial = partials.data() + (c - 1) * channels;
+    for (std::size_t i = 0; i < channels; ++i) total[i] += partial[i];
+  }
+}
 
 /// Routes one flow with incremental vertex indexing. Visits the same
 /// channels in the same order with the same weights as the original

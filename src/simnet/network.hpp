@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -157,19 +156,6 @@ class Network {
   NetworkOptions options_;
 };
 
-/// The deterministic parallel accumulation behind both route_all backends.
-/// `route_chunk(c, loads)` adds chunk c's flows into `loads`, a zeroed
-/// array of total.size() channels. The chunks run through
-/// sweep::parallel_for: chunk 0 accumulates straight into `total` (which
-/// must start zeroed), every other chunk into its own slice of `partials`
-/// (a caller-owned arena, grown as needed and reused across calls), and the
-/// slices are then added into `total` in chunk order. With a chunk count
-/// derived from the input only, the result is byte-identical whichever
-/// threads ran the chunks.
-void route_chunks(std::size_t num_chunks, std::span<double> total,
-                  std::vector<double>& partials,
-                  const std::function<void(std::size_t, double*)>& route_chunk);
-
 /// Torus backend: dimension-ordered minimal ring routing (see header
 /// comment for channel conventions). Channels may carry per-dimension
 /// capacities (Titan-style weighted tori): routing is capacity-blind
@@ -196,8 +182,8 @@ class TorusNetwork final : public Network {
   /// Throws std::invalid_argument, before touching `loads`, on a torus of
   /// more than 2^32 - 1 vertices (route_all and route_exchange too).
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// Specialized routing in chunks of flows on parallel_for (see
-  /// route_chunks); byte-identical at any thread count.
+  /// Specialized routing in chunks of flows on parallel_for, partials
+  /// merged in chunk order; byte-identical at any thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   /// Closed form: per ring, a group's pair weights are a rank-1 product,
   /// accumulated as exact integer half rank-pairs in difference arrays

@@ -1,9 +1,9 @@
 #include "topo/descriptor.hpp"
 
-#include <cstdio>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
+#include "support/decimal.hpp"
 #include "topo/hamming.hpp"
 #include "topo/hypercube.hpp"
 
@@ -11,20 +11,24 @@ namespace npac::topo {
 
 namespace {
 
-/// Shortest round-trip rendering of a capacity for the id string.
+/// A capacity as "%g" renders it: six significant digits, trailing zeros
+/// dropped. std::to_chars in general format with precision 6 produces the
+/// same bytes without consulting the locale.
 std::string format_capacity(double value) {
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
+  char* const end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                  std::chars_format::general, 6)
+                        .ptr;
+  return std::string(buffer, end);
 }
 
 std::string join_dims(const Dims& dims) {
-  std::ostringstream out;
+  std::string out;
   for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (i > 0) out << "x";
-    out << dims[i];
+    if (i > 0) out += 'x';
+    support::append_int(out, dims[i]);
   }
-  return out.str();
+  return out;
 }
 
 bool unit_capacities(const std::vector<double>& capacities) {
@@ -35,12 +39,12 @@ bool unit_capacities(const std::vector<double>& capacities) {
 }
 
 std::string join_capacities(const std::vector<double>& capacities) {
-  std::ostringstream out;
+  std::string out;
   for (std::size_t i = 0; i < capacities.size(); ++i) {
-    if (i > 0) out << ",";
-    out << format_capacity(capacities[i]);
+    if (i > 0) out += ',';
+    out += format_capacity(capacities[i]);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace
@@ -156,46 +160,42 @@ std::string TopologySpec::family() const {
 }
 
 std::string TopologySpec::id() const {
-  std::ostringstream out;
-  out << family() << ":";
+  std::string out = family();
+  out += ':';
   switch (kind_) {
     case Kind::kTorus:
     case Kind::kMesh:
-      out << join_dims(dims_);
-      if (!unit_capacities(capacities_)) {
-        out << ":c" << join_capacities(capacities_);
-      }
+    case Kind::kHamming:
+      out += join_dims(dims_);
       break;
     case Kind::kHypercube:
-      out << dims_[0];
-      if (!unit_capacities(capacities_)) {
-        out << ":c" << join_capacities(capacities_);
-      }
+      support::append_int(out, dims_[0]);
       break;
-    case Kind::kHamming:
-      out << join_dims(dims_);
-      if (!capacities_.empty() && !unit_capacities(capacities_)) {
-        out << ":c" << join_capacities(capacities_);
-      }
+    case Kind::kDragonfly:
+      out += 'a';
+      support::append_int(out, dims_[0]);
+      out += ":h";
+      support::append_int(out, dims_[1]);
+      out += ":g";
+      support::append_int(out, dims_[2]);
+      out += ":p";
+      support::append_int(out, dims_[3]);
       break;
-    case Kind::kDragonfly: {
-      out << "a" << dims_[0] << ":h" << dims_[1] << ":g" << dims_[2] << ":p"
-          << dims_[3];
-      if (!unit_capacities(capacities_)) {
-        out << ":c" << join_capacities(capacities_);
-      }
-      static constexpr const char* kArrangements[] = {"abs", "rel", "circ"};
-      out << ":" << kArrangements[arrangement_];
-      break;
-    }
     case Kind::kFatTree:
-      out << "k" << dims_[0];
-      if (!unit_capacities(capacities_)) {
-        out << ":c" << join_capacities(capacities_);
-      }
+      out += 'k';
+      support::append_int(out, dims_[0]);
       break;
   }
-  return out.str();
+  if (!unit_capacities(capacities_)) {
+    out += ":c";
+    out += join_capacities(capacities_);
+  }
+  if (kind_ == Kind::kDragonfly) {
+    static constexpr const char* kArrangements[] = {"abs", "rel", "circ"};
+    out += ':';
+    out += kArrangements[arrangement_];
+  }
+  return out;
 }
 
 std::int64_t TopologySpec::num_vertices() const {

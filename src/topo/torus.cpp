@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
+
+#include "support/decimal.hpp"
 
 namespace npac::topo {
 
@@ -191,12 +192,12 @@ std::int64_t Torus::cuboid_cut_edges(const Dims& len) const {
 }
 
 std::string Torus::to_string() const {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < dims_.size(); ++i) {
-    if (i > 0) os << " x ";
-    os << dims_[i];
+    if (i > 0) out += " x ";
+    support::append_int(out, dims_[i]);
   }
-  return os.str();
+  return out;
 }
 
 Graph make_cycle(std::int64_t n, double link_capacity) {

@@ -232,6 +232,52 @@ TEST(ObsDeterminismTest, GraphRoutingInstrumentationNeverChangesLoadBytes) {
   EXPECT_GT(registry.trace().size(), 0u);
 }
 
+TEST(ObsDeterminismTest, GraphWorkCountersRepeatAtAnyThreadCount) {
+  // net.graph.arcs_touched sums the arcs each destination's BFS scanned
+  // before it stopped at its farthest source: a per-chunk count flushed
+  // once per call, so it and net.graph.bfs_invocations (one per
+  // destination group) must not depend on which thread routed which
+  // chunk. The dragonfly pairing of the 512-host design tier (512
+  // destinations in 32 chunks, sources 1-3 hops out) pins both, and the
+  // loads, at 1, 3 and 8 kernel-pool threads.
+  ASSERT_EQ(obs::Registry::current(), nullptr);
+  topo::DragonflyConfig config;
+  config.a = 8;
+  config.h = 4;
+  config.groups = 16;
+  config.global_ports = 1;
+  const simnet::GraphNetwork net(topo::TopologySpec::dragonfly(config).build());
+  std::vector<simnet::Flow> flows;
+  const std::int64_t hosts = net.num_nodes();
+  for (std::int64_t h = 0; h < hosts; ++h) {
+    flows.push_back({h, (h + hosts / 2) % hosts, 1.0e6});
+  }
+  const simnet::LinkLoads reference = net.route_all(flows);
+  std::uint64_t arcs_touched = 0;
+  for (const int threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ScopedKernelPool kernel_pool(pool);
+    obs::Registry registry;
+    {
+      obs::ScopedRegistry scoped(registry);
+      const simnet::LinkLoads loads = net.route_all(flows);
+      for (std::size_t c = 0; c < reference.num_channels(); ++c) {
+        ASSERT_EQ(loads[c], reference[c])
+            << "threads=" << threads << " channel " << c;
+      }
+    }
+    EXPECT_EQ(registry.counter_value("net.graph.bfs_invocations"), 512u)
+        << "threads=" << threads;
+    if (threads == 1) {
+      arcs_touched = registry.counter_value("net.graph.arcs_touched");
+      // Stopping early scans fewer arcs than 512 full searches would.
+      EXPECT_GT(arcs_touched, 0u);
+      EXPECT_LT(arcs_touched, 512u * net.num_channels());
+    }
+    EXPECT_EQ(registry.counter_value("net.graph.arcs_touched"), arcs_touched)
+        << "threads=" << threads;
+  }
+}
 
 TEST(ObsDeterminismTest, CapsWorkCountersRepeatAtAnyThreadCount) {
   // The closed-form group exchange counts its work deterministically: the

@@ -13,9 +13,12 @@
 #include <optional>
 #include <queue>
 
+#include "core/experiments.hpp"
+#include "obs/metrics.hpp"
 #include "simnet/pingpong.hpp"
 #include "simnet/traffic.hpp"
 #include "sweep/pool.hpp"
+#include "topo/dragonfly.hpp"
 
 namespace npac::simnet {
 namespace {
@@ -377,11 +380,13 @@ std::vector<Flow> skewed_group_flows(std::int64_t n) {
 }
 
 /// Reference reimplementation of route_all in the pre-refactor idiom —
-/// std::queue BFS, per-level push_back buckets, and a per-arc
-/// dist re-test instead of the advancing-arc overlay — with the same
-/// grouping and chunk-merge structure. Exact (bitwise) agreement with the
-/// production path pins that the counting-sort level build and the fused
-/// BFS+overlay preserved the propagation order, not just its limit.
+/// a std::queue BFS run over the whole graph, per-level push_back buckets,
+/// a per-arc dist re-test instead of the advancing-arc overlay, and a
+/// dense zeroed partial per chunk of 16 groups added into the total in
+/// chunk order. Exact (bitwise) agreement with the production path pins
+/// that the counting-sort level build, the fused BFS+overlay, the BFS that
+/// stops at the farthest source and the sparse chunk merge preserved the
+/// propagation order, not just its limit.
 std::vector<double> reference_route_all(const topo::Graph& graph,
                                         TieBreak tie,
                                         std::span<const Flow> flows) {
@@ -508,30 +513,101 @@ TEST(GraphNetworkTest, RouteAllParityWithPreRefactorReference) {
   }
 }
 
+/// The pairing topology_pairing_seconds routes on a design: furthest-node
+/// on a torus, the id shift h -> h + H/2 on every other family.
+std::vector<Flow> design_pairing(const topo::TopologySpec& spec) {
+  if (spec.kind() == topo::TopologySpec::Kind::kTorus) {
+    return furthest_node_pairing(topo::Torus(spec.dims()), 1.0e6);
+  }
+  std::vector<Flow> flows;
+  const std::int64_t hosts = spec.num_hosts();
+  for (std::int64_t h = 0; h < hosts; ++h) {
+    flows.push_back({h, (h + hosts / 2) % hosts, 1.0e6});
+  }
+  return flows;
+}
+
+TEST(GraphNetworkTest, DesignPairingsMatchTheFullBfsDenseMergeReference) {
+  // Every 512-host design of the topology sweep (torus, hypercube,
+  // Hamming, dragonfly, fat-tree) under both tie-breaks: the BFS that
+  // stops at each destination's farthest source and the sparse chunk
+  // merge must give the loads of a full BFS with dense chunk partials,
+  // bit for bit. The id-shift flows are 1 hop on the hypercube and the
+  // Hamming graph, up to 3 on the dragonfly, and at the diameter on the
+  // fat-tree, so the early exit is taken at every depth.
+  const auto cases = core::topology_design_cases(/*fast=*/true);
+  ASSERT_EQ(cases.size(), 5u);
+  for (const core::TopologyDesignCase& design : cases) {
+    const topo::Graph graph = design.spec.build();
+    const std::vector<Flow> flows = design_pairing(design.spec);
+    for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
+      const GraphNetwork net(graph, unit_bandwidth(tie));
+      const LinkLoads got = net.route_all(flows);
+      const std::vector<double> want = reference_route_all(graph, tie, flows);
+      ASSERT_EQ(got.num_channels(), want.size());
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(got[c], want[c])
+            << design.spec.id() << " channel " << c << " tie "
+            << (tie == TieBreak::kSplit ? "split" : "positive");
+      }
+    }
+  }
+}
+
+TEST(GraphNetworkTest, ArcsTouchedCountsTheArcsTheBfsScanned) {
+  // hypercube:9's pairing sends host h to h + 256 (mod 512), one bit flip
+  // away: each destination group has one source, a neighbour. The BFS pops
+  // the destination (9 arcs) and labels its 9 neighbours at level 1, the
+  // source among them, so the farthest source sits at level 1. Of level 1
+  // only the source carries traffic, so only it is scanned (9 more arcs);
+  // the next pop past it is skipped or lies at level 2 and stops the
+  // search. 512 groups x 18 arcs = 9216, against 512 x 4608 for full
+  // searches.
+  const topo::TopologySpec spec = topo::TopologySpec::hypercube(9);
+  const GraphNetwork net(spec.build(), unit_bandwidth());
+  obs::Registry registry;
+  {
+    obs::ScopedRegistry scoped(registry);
+    (void)net.route_all(design_pairing(spec));
+  }
+  EXPECT_EQ(registry.counter_value("net.graph.bfs_invocations"), 512u);
+  EXPECT_EQ(registry.counter_value("net.graph.arcs_touched"), 9216u);
+}
+
 TEST(GraphNetworkTest, RouteAllIsByteIdenticalPooledAndInline) {
-  // The determinism contract on a skewed-group workload (120 destinations,
-  // 8 chunks): a top-level call fans its chunks out on the shared pool, a
-  // call from a task of a 2-worker run routes every chunk inline, and a
-  // repeat call runs on warm scratch and cached overlays. Exact ==
-  // comparison — any schedule-dependent accumulation order would differ
-  // in the last ulp long before it differed at 1e-9.
-  const topo::Torus torus({6, 5, 4});
-  const auto flows = skewed_group_flows(torus.num_vertices());
-  for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
-    const GraphNetwork net(torus.build_graph(), unit_bandwidth(tie));
-    const LinkLoads pooled = net.route_all(flows);
-    std::optional<LinkLoads> inline_loads;
-    sweep::ThreadPool pair(2);
-    pair.run_indexed(2, [&](std::int64_t i) {
-      if (i == 0) inline_loads = net.route_all(flows);
-    });
-    const LinkLoads repeat = net.route_all(flows);
-    ASSERT_TRUE(inline_loads.has_value());
-    const LinkLoads& inlined = *inline_loads;
-    for (const LinkLoads* got : {&inlined, &repeat}) {
-      ASSERT_EQ(got->num_channels(), pooled.num_channels());
-      for (std::size_t c = 0; c < pooled.num_channels(); ++c) {
-        ASSERT_EQ((*got)[c], pooled[c]) << "channel " << c;
+  // The determinism contract on skewed-group workloads (a torus graph with
+  // 120 destinations in 8 chunks, and a dragonfly with 90 in 6): a
+  // top-level call fans its chunks out on the shared pool, a call from a
+  // task of a 2-worker run routes every chunk inline, and a repeat call
+  // runs on warm scratch. Exact == comparison — any schedule-dependent
+  // accumulation order would differ in the last ulp long before it
+  // differed at 1e-9.
+  topo::DragonflyConfig config;
+  config.a = 3;
+  config.h = 3;
+  config.groups = 10;
+  config.global_ports = 1;
+  const topo::Graph torus_graph = topo::Torus({6, 5, 4}).build_graph();
+  const topo::Graph dragonfly = topo::make_dragonfly(config);
+  ASSERT_EQ(dragonfly.num_vertices(), 90);
+  for (const topo::Graph* graph : {&torus_graph, &dragonfly}) {
+    const auto flows = skewed_group_flows(graph->num_vertices());
+    for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
+      const GraphNetwork net(*graph, unit_bandwidth(tie));
+      const LinkLoads pooled = net.route_all(flows);
+      std::optional<LinkLoads> inline_loads;
+      sweep::ThreadPool pair(2);
+      pair.run_indexed(2, [&](std::int64_t i) {
+        if (i == 0) inline_loads = net.route_all(flows);
+      });
+      const LinkLoads repeat = net.route_all(flows);
+      ASSERT_TRUE(inline_loads.has_value());
+      const LinkLoads& inlined = *inline_loads;
+      for (const LinkLoads* got : {&inlined, &repeat}) {
+        ASSERT_EQ(got->num_channels(), pooled.num_channels());
+        for (std::size_t c = 0; c < pooled.num_channels(); ++c) {
+          ASSERT_EQ((*got)[c], pooled[c]) << "channel " << c;
+        }
       }
     }
   }
@@ -564,6 +640,47 @@ TEST(GraphNetworkTest, UnreachableFlowSurfacesFromPooledAndInlineRouting) {
   // Every flow leaves vertex 0 along the single path, so the first channel
   // carries all 47 of them.
   EXPECT_DOUBLE_EQ(after[net.channel_of(0, 1)], 47.0);
+}
+
+TEST(GraphNetworkTest, ThrowingChunkLeavesNoLoadsForTheNextCallOnItsThread) {
+  // On a 1-worker kernel pool every chunk runs on this thread, so a chunk
+  // that throws leaves its scratch behind for the next call: chunk 0 routes
+  // destinations 1-5 (touching the path's arcs) and then meets destination
+  // 6, whose source 30 lies in the other component. The next call routes
+  // the same five destinations over the same arcs, plus a flow from 30
+  // inside its own component, and must match the reference bit for bit:
+  // no load of the aborted chunk and no weight seeded on 30 may leak into
+  // it.
+  std::vector<topo::EdgeSpec> edges;
+  for (std::int64_t v = 0; v + 1 < 24; ++v) edges.push_back({v, v + 1, 1.0});
+  for (std::int64_t v = 24; v + 1 < 32; ++v) edges.push_back({v, v + 1, 1.0});
+  const topo::Graph graph = topo::Graph::from_edges(32, edges);
+  const GraphNetwork net(graph, unit_bandwidth());
+  std::vector<Flow> good;
+  for (topo::VertexId dst = 1; dst <= 5; ++dst) {
+    good.push_back({0, dst, 1.0 / 3.0});
+    good.push_back({20, dst, 1.0 / static_cast<double>(dst)});
+  }
+  good.push_back({30, 26, 0.5});
+  std::vector<Flow> bad = good;
+  bad.push_back({30, 6, 1.0});
+
+  sweep::ThreadPool one(1);
+  sweep::ScopedKernelPool kernel_pool(one);
+  EXPECT_THROW((void)net.route_all(bad), std::invalid_argument);
+  const LinkLoads after = net.route_all(good);
+  const std::vector<double> want =
+      reference_route_all(graph, TieBreak::kSplit, good);
+  ASSERT_EQ(after.num_channels(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(after[c], want[c]) << "channel " << c;
+  }
+  // route_flow shares the scratch: one flow after the throw is still exact.
+  EXPECT_THROW((void)net.route_all(bad), std::invalid_argument);
+  LinkLoads single = net.make_loads();
+  net.route_flow({0, 3, 2.0}, single);
+  EXPECT_EQ(single.total_load(), 6.0);
+  EXPECT_EQ(single[net.channel_of(2, 3)], 2.0);
 }
 
 TEST(GraphNetworkTest, ChannelOfReturnsFirstOfParallelRunAndRejectsNonEdges) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -44,6 +45,28 @@ TEST(LinkLoadsTest, MaxLoadInDim) {
   loads.at(1, 1, 1) = 7.0;
   EXPECT_DOUBLE_EQ(loads.max_load_in_dim(0), 5.0);
   EXPECT_DOUBLE_EQ(loads.max_load_in_dim(1), 7.0);
+}
+
+TEST(LinkLoadsTest, MaxLoadMatchesMaxElementAtEveryLaneAndTail) {
+  // max_load scans in four lanes plus a tail of up to three channels. For
+  // every length 0-9, place the largest load on each channel in turn (so
+  // it lands in every lane and every tail slot), among distinct smaller
+  // loads, and compare with std::max_element.
+  for (std::size_t size = 0; size <= 9; ++size) {
+    LinkLoads empty(size);
+    EXPECT_EQ(empty.max_load(), 0.0) << "size " << size;
+    for (std::size_t peak = 0; peak < size; ++peak) {
+      LinkLoads loads(size);
+      for (std::size_t c = 0; c < size; ++c) {
+        loads[c] = 1.0 + static_cast<double>((c * 7) % 11) / 16.0;
+      }
+      loads[peak] = 3.25;
+      const auto raw = loads.raw();
+      EXPECT_EQ(loads.max_load(), *std::max_element(raw.begin(), raw.end()))
+          << "size " << size << " peak " << peak;
+      EXPECT_EQ(loads.max_load(), 3.25);
+    }
+  }
 }
 
 TEST(NetworkTest, ShortWayAroundTheRing) {

@@ -4,11 +4,92 @@
 
 #include <gtest/gtest.h>
 
+#include <locale>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "bgq/geometry.hpp"
 #include "topo/hamming.hpp"
 #include "topo/hypercube.hpp"
+#include "topo/torus.hpp"
 
 namespace npac::topo {
 namespace {
+
+/// Ids and dimension strings with multi-digit fields and %g-style
+/// capacities (a six-digit mantissa, an exponent either way), and the
+/// bytes the ostringstream/snprintf renderers printed for them under the
+/// classic locale.
+std::vector<std::string> multi_digit_ids() {
+  DragonflyConfig config;
+  config.a = 12;
+  config.h = 10;
+  config.groups = 11;
+  config.global_ports = 10;
+  config.cap_global = 0.25;
+  return {
+      TopologySpec::torus({2, 2, 2, 12}).id(),
+      TopologySpec::weighted_torus({12, 10, 2}, {1.5, 1234567.0, 0.00001})
+          .id(),
+      TopologySpec::mesh({10, 11}).id(),
+      TopologySpec::hypercube(12).id(),
+      TopologySpec::hamming({16, 12}, {1.0, 1e6}).id(),
+      TopologySpec::dragonfly(config).id(),
+      TopologySpec::fat_tree(22, 100.0).id(),
+      Torus({12, 2, 2, 2}).to_string(),
+      bgq::Geometry(12, 2, 2, 10).to_string(),
+  };
+}
+
+const std::vector<std::string> kMultiDigitIds = {
+    "torus:2x2x2x12",
+    "torus:12x10x2:c1.5,1.23457e+06,1e-05",
+    "mesh:10x11",
+    "hypercube:12",
+    "hamming:16x12:c1,1e+06",
+    "dragonfly:a12:h10:g11:p10:c1,3,0.25:abs",
+    "fattree:k22:c100",
+    "12 x 2 x 2 x 2",
+    "12 x 10 x 2 x 2",
+};
+
+/// Groups every digit, so a stream that takes this locale prints 12 as
+/// "1,2".
+struct GroupEveryDigit : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\1"; }
+};
+
+/// Installs `locale` as the global locale for its lifetime.
+class ScopedGlobalLocale {
+ public:
+  explicit ScopedGlobalLocale(const std::locale& locale)
+      : previous_(std::locale::global(locale)) {}
+  ~ScopedGlobalLocale() { std::locale::global(previous_); }
+
+  ScopedGlobalLocale(const ScopedGlobalLocale&) = delete;
+  ScopedGlobalLocale& operator=(const ScopedGlobalLocale&) = delete;
+
+ private:
+  std::locale previous_;
+};
+
+TEST(TopologySpecTest, MultiDigitIdsRenderExactly) {
+  EXPECT_EQ(multi_digit_ids(), kMultiDigitIds);
+}
+
+TEST(TopologySpecTest, IdsIgnoreTheGlobalLocale) {
+  // Ids are SweepContext cache keys and printed machine names: a
+  // digit-grouping global locale must not turn torus:2x2x2x12 into
+  // torus:2x2x2x1,2.
+  const ScopedGlobalLocale grouping(
+      std::locale(std::locale::classic(), new GroupEveryDigit));
+  std::ostringstream stream;  // a new stream takes the global locale
+  stream << 12;
+  ASSERT_EQ(stream.str(), "1,2");
+  EXPECT_EQ(multi_digit_ids(), kMultiDigitIds);
+}
 
 TEST(TopologySpecTest, IdsAreCanonicalPerFamily) {
   EXPECT_EQ(TopologySpec::torus({4, 4, 3, 2}).id(), "torus:4x4x3x2");
