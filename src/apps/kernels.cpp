@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "simnet/traffic.hpp"
 
@@ -51,14 +52,11 @@ double simulate_fft_communication(const simmpi::Communicator& comm,
 
   double total = 0.0;
   int phase_index = 0;
+  std::vector<simnet::Flow> flows;  // one buffer for every phase
   for (std::int64_t stride = 1; stride < p; stride *= 2) {
-    std::vector<simmpi::Communicator::RankMessage> messages;
-    messages.reserve(static_cast<std::size_t>(p));
-    for (std::int64_t rank = 0; rank < p; ++rank) {
-      messages.push_back({rank, rank ^ stride, bytes});
-    }
+    comm.butterfly(stride, bytes, flows);
     total += comm.run_phase("fft:phase" + std::to_string(phase_index++),
-                            comm.rank_messages(messages), sink);
+                            flows, sink);
   }
   return total;
 }

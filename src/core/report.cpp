@@ -1,9 +1,11 @@
 #include "core/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "simmpi/communicator.hpp"
@@ -49,9 +51,20 @@ std::string TextTable::render() const {
 }
 
 std::string format_double(double value, int precision) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(precision) << value;
-  return out.str();
+  // std::to_chars prints as printf's %.*f in the "C" locale, whatever the
+  // global locale (DESIGN.md decision #21). The buffer doubles until the
+  // digits fit: 32 bytes hold every cell the tables print.
+  std::string out(32, '\0');
+  for (;;) {
+    const auto [end, error] =
+        std::to_chars(out.data(), out.data() + out.size(), value,
+                      std::chars_format::fixed, precision);
+    if (error == std::errc()) {
+      out.resize(static_cast<std::size_t>(end - out.data()));
+      return out;
+    }
+    out.resize(out.size() * 2);
+  }
 }
 
 std::string format_int(std::int64_t value) { return std::to_string(value); }

@@ -5,28 +5,12 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 namespace npac::iso {
 
 namespace {
-
-/// y = (cI - L) x where L is the weighted Laplacian and c a shift making the
-/// operator PSD with the Fiedler vector as its second-largest eigenvector.
-/// `diagonal[v]` is c - degree_capacity(v), the operator's diagonal.
-void apply_shifted(const topo::Graph& graph,
-                   const std::vector<double>& diagonal,
-                   const std::vector<double>& x, std::vector<double>& y) {
-  const auto n = graph.num_vertices();
-  for (topo::VertexId v = 0; v < n; ++v) {
-    double acc =
-        diagonal[static_cast<std::size_t>(v)] * x[static_cast<std::size_t>(v)];
-    for (const topo::Arc& a : graph.neighbors(v)) {
-      acc += a.capacity * x[static_cast<std::size_t>(a.to)];
-    }
-    y[static_cast<std::size_t>(v)] = acc;
-  }
-}
 
 void deflate_ones(std::vector<double>& x) {
   const double mean =
@@ -69,23 +53,52 @@ std::vector<double> fiedler_vector(const topo::Graph& graph,
   deflate_ones(x);
   normalize(x);
 
-  std::vector<double> y(static_cast<std::size_t>(n));
-  std::vector<double> prev = x;
+  // The arc capacities, dense beside the CSR offsets and heads, so the
+  // product streams arrays instead of calling neighbors() per vertex.
+  const std::span<const std::size_t> offsets = graph.arc_offsets();
+  const std::span<const std::int32_t> heads = graph.arc_heads();
+  std::vector<double> capacity(graph.num_arcs());
+  for (std::size_t arc = 0; arc < capacity.size(); ++arc) {
+    capacity[arc] = graph.arc_at(arc).capacity;
+  }
+
+  // Each iteration is y = (cI - L) x, where L is the weighted Laplacian and
+  // c a shift making the operator PSD with the Fiedler vector as its
+  // second-largest eigenvector; then y is deflated against the all-ones
+  // vector and normalised. Three fused passes do the same operations in
+  // the same order as separate product, deflate and normalise loops.
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<double> y(size);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    apply_shifted(graph, diagonal, x, y);
-    deflate_ones(y);
-    if (normalize(y) == 0.0) {
+    double sum = 0.0;
+    for (std::size_t v = 0; v < size; ++v) {
+      double acc = diagonal[v] * x[v];
+      for (std::size_t arc = offsets[v]; arc < offsets[v + 1]; ++arc) {
+        acc += capacity[arc] * x[static_cast<std::size_t>(heads[arc])];
+      }
+      y[v] = acc;
+      sum += acc;
+    }
+    const double mean = sum / static_cast<double>(size);
+    double norm = 0.0;
+    for (double& value : y) {
+      value -= mean;
+      norm += value * value;
+    }
+    norm = std::sqrt(norm);
+    if (norm == 0.0) {
       // Degenerate (e.g. disconnected with symmetric start); restart.
       for (double& value : y) value = uniform(rng);
       deflate_ones(y);
       normalize(y);
     }
-    x.swap(y);
+    // delta compares |y| with |x|, the previous iterate, before the swap.
     double delta = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      delta = std::max(delta, std::abs(std::abs(x[i]) - std::abs(prev[i])));
+    for (std::size_t v = 0; v < size; ++v) {
+      if (norm > 0.0) y[v] /= norm;
+      delta = std::max(delta, std::abs(std::abs(y[v]) - std::abs(x[v])));
     }
-    prev = x;
+    x.swap(y);
     if (delta < options.tolerance && iter > 10) break;
   }
   return x;

@@ -27,12 +27,14 @@ Communicator::Communicator(const simnet::Network* network, RankMap map)
 
 namespace {
 
-double record_phase(const std::string& label, const simnet::LinkLoads& loads,
-                    double seconds, double total_bytes, Timeline& timeline) {
+/// Appends a phase to `timeline`. `max_load` is the one scan of the
+/// phase's loads: it is recorded and it priced `seconds`.
+double record_phase(const std::string& label, double seconds, double max_load,
+                    double total_bytes, Timeline& timeline) {
   PhaseRecord record;
   record.label = label;
   record.seconds = seconds;
-  record.max_channel_bytes = loads.max_load();
+  record.max_channel_bytes = max_load;
   record.total_bytes = total_bytes;
   timeline.add(std::move(record));
   return seconds;
@@ -44,21 +46,24 @@ double Communicator::run_phase(const std::string& label,
                                const std::vector<simnet::Flow>& flows,
                                Timeline& timeline) const {
   const simnet::LinkLoads loads = network_->route_all(flows);
+  const double max_load = loads.max_load();
   double total_bytes = 0.0;
   for (const simnet::Flow& flow : flows) {
     if (flow.src != flow.dst) total_bytes += flow.bytes;
   }
-  return record_phase(label, loads, network_->completion_seconds(loads, flows),
-                      total_bytes, timeline);
+  return record_phase(label,
+                      network_->completion_seconds(loads, max_load, flows),
+                      max_load, total_bytes, timeline);
 }
 
 double Communicator::run_phase(const std::string& label,
                                const simnet::GroupExchange& exchange,
                                Timeline& timeline) const {
   const simnet::LinkLoads loads = network_->route_exchange(exchange);
-  return record_phase(label, loads,
-                      network_->exchange_seconds(loads, exchange),
-                      exchange.total_bytes(), timeline);
+  const double max_load = loads.max_load();
+  return record_phase(label,
+                      network_->exchange_seconds(loads, max_load, exchange),
+                      max_load, exchange.total_bytes(), timeline);
 }
 
 simnet::GroupExchange Communicator::group_alltoall(
@@ -90,60 +95,47 @@ simnet::GroupExchange Communicator::group_alltoall(
   return exchange;
 }
 
-std::vector<simnet::Flow> Communicator::rank_messages(
-    const std::vector<RankMessage>& messages) const {
-  struct Keyed {
-    topo::VertexId src;
-    topo::VertexId dst;
-    std::size_t message;  // index into `messages`: the tie-break
-  };
-  // Counting sort of the inter-node messages by source node.
-  const auto num_nodes = static_cast<std::size_t>(map_.num_nodes());
-  std::vector<std::size_t> cursor(num_nodes + 1, 0);
-  std::vector<Keyed> inter;
-  inter.reserve(messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    const topo::VertexId src = map_.node_of(messages[i].src);
-    const topo::VertexId dst = map_.node_of(messages[i].dst);
-    if (src == dst) continue;
-    inter.push_back({src, dst, i});
-    ++cursor[static_cast<std::size_t>(src) + 1];
+void Communicator::butterfly(std::int64_t mask, double bytes,
+                             std::vector<simnet::Flow>& out) const {
+  const std::int64_t ranks = map_.num_ranks();
+  if ((ranks & (ranks - 1)) != 0 || mask <= 0 || mask >= ranks) {
+    throw std::invalid_argument(
+        "butterfly: the rank count must be a power of two and the mask in "
+        "(0, ranks)");
   }
-  for (std::size_t node = 1; node < cursor.size(); ++node) {
-    cursor[node] += cursor[node - 1];
-  }
-  std::vector<Keyed> by_src(inter.size());
-  for (const Keyed& keyed : inter) {
-    by_src[cursor[static_cast<std::size_t>(keyed.src)]++] = keyed;
-  }
-
-  // Each source's bucket, sorted by (destination, message index), is a
-  // run of equal keys per flow; a flow's bytes are summed from 0.0 in
-  // message order.
-  std::vector<simnet::Flow> flows;
-  flows.reserve(by_src.size());
-  for (std::size_t begin = 0; begin < by_src.size();) {
-    std::size_t end = begin + 1;
-    while (end < by_src.size() && by_src[end].src == by_src[begin].src) ++end;
-    std::sort(by_src.begin() + static_cast<std::ptrdiff_t>(begin),
-              by_src.begin() + static_cast<std::ptrdiff_t>(end),
-              [](const Keyed& x, const Keyed& y) {
-                return x.dst != y.dst ? x.dst < y.dst : x.message < y.message;
-              });
-    while (begin < end) {
-      const Keyed& first = by_src[begin];
-      double bytes = 0.0;
-      for (; begin < end && by_src[begin].dst == first.dst; ++begin) {
-        bytes += messages[by_src[begin].message].bytes;
-      }
-      flows.push_back({first.src, first.dst, bytes});
+  out.clear();
+  out.reserve(static_cast<std::size_t>(ranks));
+  // Nodes in id order, each node's contiguous ranks in rank order: a node's
+  // off-node partners are appended, sorted by destination node, and merged
+  // into one flow per destination. Every rank sends the same `bytes`, so
+  // neither the sort's tie order nor the order a flow's ranks are added in
+  // can change its sum from 0.0.
+  for (topo::VertexId node = 0; node < map_.num_nodes(); ++node) {
+    const std::int64_t first = map_.first_rank_on(node);
+    const std::int64_t last = first + map_.ranks_on(node);
+    const std::size_t begin = out.size();
+    for (std::int64_t rank = first; rank < last; ++rank) {
+      const topo::VertexId peer = map_.node_of(rank ^ mask);
+      if (peer != node) out.push_back({node, peer, 0.0});
     }
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+              [](const simnet::Flow& x, const simnet::Flow& y) {
+                return x.dst < y.dst;
+              });
+    std::size_t kept = begin;
+    for (std::size_t i = begin; i < out.size(); ++i) {
+      if (kept == begin || out[kept - 1].dst != out[i].dst) {
+        out[kept++] = out[i];
+      }
+      out[kept - 1].bytes += bytes;
+    }
+    out.resize(kept);
   }
   if (obs::Registry* const registry = obs::Registry::current()) {
-    registry->counter("simmpi.rank_messages").add(messages.size());
-    registry->counter("simmpi.node_flows").add(flows.size());
+    registry->counter("simmpi.rank_messages")
+        .add(static_cast<std::uint64_t>(ranks));
+    registry->counter("simmpi.node_flows").add(out.size());
   }
-  return flows;
 }
 
 }  // namespace npac::simmpi

@@ -66,21 +66,17 @@ class Communicator {
   simnet::GroupExchange group_alltoall(std::int64_t group_size,
                                        double bytes_per_rank) const;
 
-  /// Point-to-point rank-level messages aggregated to node flows.
-  /// Each triple is (src_rank, dst_rank, bytes). Intra-node messages are
-  /// dropped; one flow per remaining (src node, dst node) pair, in
-  /// ascending (src, dst) order, its bytes summed from 0.0 in message
-  /// order. A counting sort by source node: O(messages + nodes), plus a
-  /// sort of each source's messages by destination. With a registry
-  /// current, counts the messages in (simmpi.rank_messages) and the flows
-  /// out (simmpi.node_flows).
-  struct RankMessage {
-    std::int64_t src = 0;
-    std::int64_t dst = 0;
-    double bytes = 0.0;
-  };
-  std::vector<simnet::Flow> rank_messages(
-      const std::vector<RankMessage>& messages) const;
+  /// One binary-exchange (butterfly) phase as node flows: every rank r
+  /// sends `bytes` to rank r ^ mask. Messages within a node are dropped;
+  /// `out` is cleared and refilled with one flow per remaining (src node,
+  /// dst node) pair in ascending (src, dst) order, its bytes summed from
+  /// 0.0 once per rank. Walks each node's contiguous ranks, so it costs
+  /// O(size() + nodes) plus a sort of each node's partner nodes. Throws
+  /// std::invalid_argument unless size() is a power of two and
+  /// 0 < mask < size(). With a registry current, counts the ranks
+  /// (simmpi.rank_messages) and the flows out (simmpi.node_flows).
+  void butterfly(std::int64_t mask, double bytes,
+                 std::vector<simnet::Flow>& out) const;
 
  private:
   const simnet::Network* network_;

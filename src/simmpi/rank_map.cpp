@@ -62,47 +62,6 @@ RankMap RankMap::with_mapping(std::int64_t num_ranks, std::int64_t num_nodes,
   return map;
 }
 
-std::int64_t RankMap::slot_of(std::int64_t rank) const {
-  // The first `extra_` slots hold base_ + 1 ranks each.
-  const std::int64_t boundary = extra_ * (base_ + 1);
-  if (rank < boundary) return rank / (base_ + 1);
-  if (base_ == 0) {
-    throw std::logic_error("RankMap::slot_of: internal inconsistency");
-  }
-  return extra_ + (rank - boundary) / base_;
-}
-
-std::int64_t RankMap::slot_of_node(topo::VertexId node) const {
-  return node_to_slot_.empty()
-             ? node
-             : node_to_slot_[static_cast<std::size_t>(node)];
-}
-
-topo::VertexId RankMap::node_of(std::int64_t rank) const {
-  if (rank < 0 || rank >= num_ranks_) {
-    throw std::out_of_range("RankMap::node_of: rank out of range");
-  }
-  const std::int64_t slot = slot_of(rank);
-  return slot_to_node_.empty() ? slot
-                               : slot_to_node_[static_cast<std::size_t>(slot)];
-}
-
-std::int64_t RankMap::ranks_on(topo::VertexId node) const {
-  if (node < 0 || node >= num_nodes_) {
-    throw std::out_of_range("RankMap::ranks_on: node out of range");
-  }
-  return slot_of_node(node) < extra_ ? base_ + 1 : base_;
-}
-
-std::int64_t RankMap::first_rank_on(topo::VertexId node) const {
-  if (node < 0 || node >= num_nodes_) {
-    throw std::out_of_range("RankMap::first_rank_on: node out of range");
-  }
-  const std::int64_t slot = slot_of_node(node);
-  if (slot < extra_) return slot * (base_ + 1);
-  return extra_ * (base_ + 1) + (slot - extra_) * base_;
-}
-
 std::int64_t RankMap::max_ranks_per_node() const {
   return extra_ > 0 ? base_ + 1 : base_;
 }

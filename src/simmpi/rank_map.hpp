@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -69,5 +70,46 @@ class RankMap {
   std::vector<topo::VertexId> slot_to_node_;  // empty = identity (blocked)
   std::vector<std::int64_t> node_to_slot_;    // inverse, same emptiness
 };
+
+inline std::int64_t RankMap::slot_of(std::int64_t rank) const {
+  // The first `extra_` slots hold base_ + 1 ranks each.
+  const std::int64_t boundary = extra_ * (base_ + 1);
+  if (rank < boundary) return rank / (base_ + 1);
+  if (base_ == 0) {
+    throw std::logic_error("RankMap::slot_of: internal inconsistency");
+  }
+  return extra_ + (rank - boundary) / base_;
+}
+
+inline std::int64_t RankMap::slot_of_node(topo::VertexId node) const {
+  return node_to_slot_.empty()
+             ? node
+             : node_to_slot_[static_cast<std::size_t>(node)];
+}
+
+inline topo::VertexId RankMap::node_of(std::int64_t rank) const {
+  if (rank < 0 || rank >= num_ranks_) {
+    throw std::out_of_range("RankMap::node_of: rank out of range");
+  }
+  const std::int64_t slot = slot_of(rank);
+  return slot_to_node_.empty() ? slot
+                               : slot_to_node_[static_cast<std::size_t>(slot)];
+}
+
+inline std::int64_t RankMap::ranks_on(topo::VertexId node) const {
+  if (node < 0 || node >= num_nodes_) {
+    throw std::out_of_range("RankMap::ranks_on: node out of range");
+  }
+  return slot_of_node(node) < extra_ ? base_ + 1 : base_;
+}
+
+inline std::int64_t RankMap::first_rank_on(topo::VertexId node) const {
+  if (node < 0 || node >= num_nodes_) {
+    throw std::out_of_range("RankMap::first_rank_on: node out of range");
+  }
+  const std::int64_t slot = slot_of_node(node);
+  if (slot < extra_) return slot * (base_ + 1);
+  return extra_ * (base_ + 1) + (slot - extra_) * base_;
+}
 
 }  // namespace npac::simmpi

@@ -98,29 +98,41 @@ double Network::channel_seconds(const LinkLoads& loads) const {
   return loads.max_load() / options_.link_bytes_per_second;
 }
 
-double Network::completion_seconds(const LinkLoads& loads,
-                                   std::span<const Flow> flows) const {
-  double time = channel_seconds(loads);
-  if (options_.injection_bytes_per_second > 0.0) {
-    std::vector<double> injected(static_cast<std::size_t>(num_nodes()), 0.0);
-    std::vector<double> ejected(static_cast<std::size_t>(num_nodes()), 0.0);
-    for (const Flow& flow : flows) {
-      if (flow.src == flow.dst) continue;
-      injected[static_cast<std::size_t>(flow.src)] += flow.bytes;
-      ejected[static_cast<std::size_t>(flow.dst)] += flow.bytes;
-    }
-    double peak = 0.0;
-    for (std::size_t i = 0; i < injected.size(); ++i) {
-      peak = std::max({peak, injected[i], ejected[i]});
-    }
-    time = std::max(time, peak / options_.injection_bytes_per_second);
-  }
-  return time;
+double Network::drain_seconds(const LinkLoads& loads,
+                              double /*max_load*/) const {
+  return channel_seconds(loads);
 }
 
-double Network::exchange_seconds(const LinkLoads& loads,
+double Network::with_injection_cap(double seconds,
+                                   std::span<const Flow> flows) const {
+  if (options_.injection_bytes_per_second <= 0.0) return seconds;
+  std::vector<double> injected(static_cast<std::size_t>(num_nodes()), 0.0);
+  std::vector<double> ejected(static_cast<std::size_t>(num_nodes()), 0.0);
+  for (const Flow& flow : flows) {
+    if (flow.src == flow.dst) continue;
+    injected[static_cast<std::size_t>(flow.src)] += flow.bytes;
+    ejected[static_cast<std::size_t>(flow.dst)] += flow.bytes;
+  }
+  double peak = 0.0;
+  for (std::size_t i = 0; i < injected.size(); ++i) {
+    peak = std::max({peak, injected[i], ejected[i]});
+  }
+  return std::max(seconds, peak / options_.injection_bytes_per_second);
+}
+
+double Network::completion_seconds(const LinkLoads& loads,
+                                   std::span<const Flow> flows) const {
+  return with_injection_cap(channel_seconds(loads), flows);
+}
+
+double Network::completion_seconds(const LinkLoads& loads, double max_load,
+                                   std::span<const Flow> flows) const {
+  return with_injection_cap(drain_seconds(loads, max_load), flows);
+}
+
+double Network::exchange_seconds(const LinkLoads& loads, double max_load,
                                  const GroupExchange& exchange) const {
-  const double time = channel_seconds(loads);
+  const double time = drain_seconds(loads, max_load);
   const double cap = options_.injection_bytes_per_second;
   if (cap <= 0.0) return time;
   return std::max(time, exchange.peak_injection_bytes(num_nodes()) / cap);
@@ -170,6 +182,12 @@ double TorusNetwork::channel_seconds(const LinkLoads& loads) const {
     worst = std::max(worst, loads.max_load_in_dim(dim) / capacities_[dim]);
   }
   return worst / options().link_bytes_per_second;
+}
+
+double TorusNetwork::drain_seconds(const LinkLoads& loads,
+                                   double max_load) const {
+  if (unit_capacities_) return max_load / options().link_bytes_per_second;
+  return channel_seconds(loads);
 }
 
 std::size_t TorusNetwork::num_channels() const {

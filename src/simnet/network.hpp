@@ -131,9 +131,17 @@ class Network {
   double completion_seconds(const LinkLoads& loads,
                             std::span<const Flow> flows) const;
 
-  /// completion_seconds for a group exchange's loads, with the exchange's
-  /// injection profile taken in closed form.
-  double exchange_seconds(const LinkLoads& loads,
+  /// completion_seconds for a caller that has already scanned
+  /// `max_load` == loads.max_load() (to record it): a backend whose drain
+  /// time is max_load / link bandwidth prices from it without a second
+  /// scan of the loads.
+  double completion_seconds(const LinkLoads& loads, double max_load,
+                            std::span<const Flow> flows) const;
+
+  /// completion_seconds for a group exchange's loads, given `max_load` ==
+  /// loads.max_load(), with the exchange's injection profile taken in
+  /// closed form.
+  double exchange_seconds(const LinkLoads& loads, double max_load,
                           const GroupExchange& exchange) const;
 
   /// Total hop count of the minimal route of a flow (for diagnostics).
@@ -152,7 +160,17 @@ class Network {
   /// capacity-weighted backends override.
   virtual double channel_seconds(const LinkLoads& loads) const;
 
+  /// channel_seconds(loads) given `max_load` == loads.max_load(). The base
+  /// calls channel_seconds(loads), which is exact for any override; a
+  /// backend whose drain time is max_load / link bandwidth overrides this
+  /// to skip the second scan.
+  virtual double drain_seconds(const LinkLoads& loads, double max_load) const;
+
  private:
+  /// Floors a drain time by the flows' injection profile when an injection
+  /// cap is configured.
+  double with_injection_cap(double seconds, std::span<const Flow> flows) const;
+
   NetworkOptions options_;
 };
 
@@ -197,6 +215,9 @@ class TorusNetwork final : public Network {
   /// Capacity-aware drain time; falls back to the base (max_load / bw)
   /// fast path when every dimension has unit capacity.
   double channel_seconds(const LinkLoads& loads) const override;
+  /// With unit capacities, max_load / bw from the caller's scan; weighted
+  /// tori keep their per-dimension scan.
+  double drain_seconds(const LinkLoads& loads, double max_load) const override;
 
  private:
   topo::Torus torus_;

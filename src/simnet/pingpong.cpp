@@ -24,14 +24,16 @@ PingPongResult run_pingpong(const Network& network,
   std::vector<Flow> flows(pairing.begin(), pairing.end());
   for (Flow& flow : flows) flow.bytes = chunk_bytes;
   const LinkLoads loads = network.route_all(flows);
-  const double chunk_seconds = network.completion_seconds(loads, flows);
+  const double max_load = loads.max_load();  // the one scan of the loads
+  const double chunk_seconds =
+      network.completion_seconds(loads, max_load, flows);
   const double round_seconds =
       chunk_seconds * static_cast<double>(config.chunks_per_round);
 
   PingPongResult result;
   result.seconds_per_round = round_seconds;
   result.max_channel_bytes_per_round =
-      loads.max_load() * static_cast<double>(config.chunks_per_round);
+      max_load * static_cast<double>(config.chunks_per_round);
   result.total_seconds =
       round_seconds * static_cast<double>(config.total_rounds);
   result.measured_seconds =

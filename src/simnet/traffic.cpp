@@ -13,12 +13,37 @@ namespace npac::simnet {
 
 std::vector<Flow> furthest_node_pairing(const topo::Torus& torus,
                                         double bytes) {
+  const std::int64_t n = torus.num_vertices();
+  const topo::Dims& dims = torus.dims();
   std::vector<Flow> flows;
-  flows.reserve(static_cast<std::size_t>(torus.num_vertices()));
-  for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
-    const topo::Coord far = torus.antipode(torus.coord_of(v));
-    const topo::VertexId peer = torus.index_of(far);
+  flows.reserve(static_cast<std::size_t>(n));
+  // An odometer over the antipode's coordinates f = (c + a/2) mod a, as
+  // nearest_neighbor_halo walks c: each step of v advances f by one in
+  // every dimension it carries through, moving the peer id by +stride, or
+  // by -(a - 1) * stride where f wraps. c wraps, and carries into the next
+  // dimension, exactly when f comes back to a/2.
+  topo::Coord far(dims.size());
+  topo::VertexId peer = 0;
+  std::int64_t stride = 1;
+  for (std::size_t dim = 0; dim < dims.size(); ++dim) {
+    far[dim] = dims[dim] / 2;
+    peer += far[dim] * stride;
+    stride *= dims[dim];
+  }
+  for (topo::VertexId v = 0; v < n; ++v) {
     if (peer != v) flows.push_back({v, peer, bytes});
+    stride = 1;
+    for (std::size_t dim = 0; dim < dims.size(); ++dim) {
+      const std::int64_t a = dims[dim];
+      if (++far[dim] == a) {
+        far[dim] = 0;
+        peer -= (a - 1) * stride;
+      } else {
+        peer += stride;
+      }
+      if (far[dim] != a / 2) break;
+      stride *= a;
+    }
   }
   return flows;
 }

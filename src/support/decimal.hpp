@@ -8,22 +8,27 @@
 #pragma once
 
 #include <charconv>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace npac::support {
 
-/// Longest decimal rendering of an int64: a sign and 19 digits.
+/// Longest decimal rendering of a 64-bit integer: a sign and 19 digits
+/// (int64), or 20 digits (uint64).
 inline constexpr std::size_t kMaxIntChars = 20;
 
 /// Writes `value` in decimal at `out` (kMaxIntChars bytes of room) and
 /// returns the end.
-inline char* put_int(char* out, std::int64_t value) {
+template <std::integral Int>
+char* put_int(char* out, Int value) {
+  static_assert(sizeof(Int) <= 8, "put_int renders at most 64 bits");
   return std::to_chars(out, out + kMaxIntChars, value).ptr;
 }
 
-inline void append_int(std::string& out, std::int64_t value) {
+template <std::integral Int>
+void append_int(std::string& out, Int value) {
   char digits[kMaxIntChars];
   out.append(digits, put_int(digits, value));
 }

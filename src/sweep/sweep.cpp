@@ -1,9 +1,11 @@
 #include "sweep/sweep.hpp"
 
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+
+#include "support/decimal.hpp"
 
 namespace npac::sweep {
 
@@ -122,17 +124,29 @@ core::TextTable topology_scheduler_summary(
 
 std::string topology_scheduler_csv(
     const std::vector<TopologySchedulerRow>& rows) {
-  std::ostringstream out;
-  out << "machine,policy,contention_fraction,replication,trace_seed,"
-         "makespan_seconds,mean_slowdown,mean_wait_seconds\n";
+  // Integers through std::to_chars, so no global locale can group their
+  // digits into extra columns.
+  std::string out =
+      "machine,policy,contention_fraction,replication,trace_seed,"
+      "makespan_seconds,mean_slowdown,mean_wait_seconds\n";
   for (const TopologySchedulerRow& row : rows) {
-    out << row.machine << "," << core::to_string(row.policy) << ","
-        << format_exact(row.contention_fraction) << "," << row.replication
-        << "," << row.trace_seed << "," << format_exact(row.makespan_seconds)
-        << "," << format_exact(row.mean_slowdown) << ","
-        << format_exact(row.mean_wait_seconds) << "\n";
+    out += row.machine;
+    out += ',';
+    out += core::to_string(row.policy);
+    out += ',';
+    out += format_exact(row.contention_fraction);
+    out += ',';
+    support::append_int(out, row.replication);
+    out += ',';
+    support::append_int(out, row.trace_seed);
+    for (const double value :
+         {row.makespan_seconds, row.mean_slowdown, row.mean_wait_seconds}) {
+      out += ',';
+      out += format_exact(value);
+    }
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 TopologySchedulerGrid ext_sched_topologies_grid(bool fast) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace npac::apps {
 namespace {
@@ -59,6 +63,76 @@ TEST(FftTest, HighStridePhasesDominateOnARing) {
   simulate_fft_communication(comm, {1 << 12, 16.0}, &timeline);
   const auto& records = timeline.records();
   EXPECT_GT(records.back().seconds, records.front().seconds);
+}
+
+// The FFT as it was priced before Communicator::butterfly: p rank
+// messages per phase, aggregated to node flows by an ordered map (bytes
+// summed from 0.0 in message order), routed, and priced with a second scan
+// of the loads.
+double reference_fft(const simmpi::Communicator& comm, const FftParams& params,
+                     simmpi::Timeline& timeline) {
+  const simnet::Network& net = comm.network();
+  const std::int64_t p = comm.size();
+  const double bytes = static_cast<double>(params.points) /
+                       static_cast<double>(p) * params.bytes_per_point;
+  double total = 0.0;
+  int phase_index = 0;
+  for (std::int64_t stride = 1; stride < p; stride *= 2) {
+    std::map<std::pair<topo::VertexId, topo::VertexId>, double> aggregated;
+    for (std::int64_t rank = 0; rank < p; ++rank) {
+      const topo::VertexId src = comm.rank_map().node_of(rank);
+      const topo::VertexId dst = comm.rank_map().node_of(rank ^ stride);
+      if (src != dst) aggregated[{src, dst}] += bytes;
+    }
+    std::vector<simnet::Flow> flows;
+    double total_bytes = 0.0;
+    for (const auto& [key, sum] : aggregated) {
+      flows.push_back({key.first, key.second, sum});
+      total_bytes += sum;
+    }
+    const simnet::LinkLoads loads = net.route_all(flows);
+    const double seconds = net.completion_seconds(loads, flows);
+    timeline.add({"fft:phase" + std::to_string(phase_index++), seconds,
+                  loads.max_load(), total_bytes});
+    total += seconds;
+  }
+  return total;
+}
+
+TEST(FftTest, MatchesTheMessageAggregationPathBitForBit) {
+  // Unit, weighted and injection-capped tori of 32 nodes; fewer, more and
+  // uneven ranks per node under every mapping strategy. The bytes per rank
+  // (2^20 * 3 / p) are not a power of two.
+  simnet::NetworkOptions capped;
+  capped.injection_bytes_per_second = 1.0e9;
+  const simnet::TorusNetwork unit(topo::Torus({4, 4, 2}));
+  const simnet::TorusNetwork weighted(topo::Torus({4, 4, 2}), {1.0, 2.0, 0.5});
+  const simnet::TorusNetwork injection(topo::Torus({4, 4, 2}), capped);
+  const FftParams params{std::int64_t{1} << 20, 3.0};
+  for (const simnet::TorusNetwork* net : {&unit, &weighted, &injection}) {
+    for (const std::int64_t ranks : {16, 32, 64, 256}) {
+      for (const simmpi::MappingStrategy strategy :
+           {simmpi::MappingStrategy::kBlocked,
+            simmpi::MappingStrategy::kStrided,
+            simmpi::MappingStrategy::kRandom}) {
+        const simmpi::Communicator comm(
+            net, simmpi::RankMap::with_mapping(ranks, 32, strategy, 9));
+        simmpi::Timeline got;
+        simmpi::Timeline want;
+        const double seconds = simulate_fft_communication(comm, params, &got);
+        EXPECT_EQ(seconds, reference_fft(comm, params, want));
+        ASSERT_EQ(got.records().size(), want.records().size());
+        for (std::size_t i = 0; i < want.records().size(); ++i) {
+          const simmpi::PhaseRecord& g = got.records()[i];
+          const simmpi::PhaseRecord& w = want.records()[i];
+          EXPECT_EQ(g.label, w.label);
+          EXPECT_EQ(g.seconds, w.seconds) << ranks << " ranks, phase " << i;
+          EXPECT_EQ(g.max_channel_bytes, w.max_channel_bytes);
+          EXPECT_EQ(g.total_bytes, w.total_bytes);
+        }
+      }
+    }
+  }
 }
 
 TEST(FftTest, RequiresPowerOfTwoRanks) {

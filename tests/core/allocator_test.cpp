@@ -29,6 +29,7 @@
 #include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/trace.hpp"
+#include "testing/global_locale.hpp"
 
 namespace npac::core {
 namespace {
@@ -871,30 +872,8 @@ TEST(LabelBytesTest, MultiDigitFieldsRenderExactly) {
   EXPECT_EQ(multi_digit_labels(), kMultiDigitLabels);
 }
 
-/// Groups every digit, so a stream that takes this locale prints 10 as
-/// "1,0".
-struct GroupEveryDigit : std::numpunct<char> {
-  char do_thousands_sep() const override { return ','; }
-  std::string do_grouping() const override { return "\1"; }
-};
-
-/// Installs `locale` as the global locale for its lifetime.
-class ScopedGlobalLocale {
- public:
-  explicit ScopedGlobalLocale(const std::locale& locale)
-      : previous_(std::locale::global(locale)) {}
-  ~ScopedGlobalLocale() { std::locale::global(previous_); }
-
-  ScopedGlobalLocale(const ScopedGlobalLocale&) = delete;
-  ScopedGlobalLocale& operator=(const ScopedGlobalLocale&) = delete;
-
- private:
-  std::locale previous_;
-};
-
 TEST(LabelBytesTest, LabelsIgnoreTheGlobalLocale) {
-  const ScopedGlobalLocale grouping(
-      std::locale(std::locale::classic(), new GroupEveryDigit));
+  const test_support::ScopedDigitGrouping grouping;
   std::ostringstream stream;  // a new stream takes the global locale
   stream << 10;
   ASSERT_EQ(stream.str(), "1,0");

@@ -310,9 +310,9 @@ TEST(ObsDeterminismTest, CapsWorkCountersRepeatAtAnyThreadCount) {
 }
 
 TEST(ObsDeterminismTest, FftWorkCountersRepeatAtAnyThreadCount) {
-  // rank_messages counts the rank messages it aggregates
-  // (simmpi.rank_messages) and the node flows it emits (simmpi.node_flows);
-  // route_all counts the flows it routes. One FFT call, 2048 ranks on a
+  // butterfly counts each phase's ranks (simmpi.rank_messages) and the
+  // node flows it emits (simmpi.node_flows); route_all counts the flows it
+  // routes. One FFT call, 2048 ranks on a
   // one-midplane torus (4 per node, so the first two butterfly phases stay
   // on node), pins all three, and its time, at 1, 3 and 8 threads.
   ASSERT_EQ(obs::Registry::current(), nullptr);

@@ -150,8 +150,9 @@ TEST(GroupExchangeTest, WeightedCapacitiesAndInjectionCapPriceAlike) {
       const auto flows = exchange.flows();
       const double reference =
           net.completion_seconds(net.route_all(flows), flows);
+      const LinkLoads loads = net.route_exchange(exchange);
       const double closed =
-          net.exchange_seconds(net.route_exchange(exchange), exchange);
+          net.exchange_seconds(loads, loads.max_load(), exchange);
       EXPECT_NEAR(closed, reference, 1e-12 * reference)
           << "cap " << cap << " seed " << seed;
     }

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "bgq/policy.hpp"
+#include "simnet/traffic.hpp"
 
 namespace npac::simnet {
 namespace {
@@ -96,6 +98,30 @@ TEST(PingPongTest, MaxChannelBytesConsistentWithTime) {
   const auto result = run_pingpong(bgq::Geometry(2, 1, 1, 1), config, options);
   EXPECT_NEAR(result.seconds_per_round,
               result.max_channel_bytes_per_round / 2.0e9, 1e-9);
+}
+
+TEST(PingPongTest, OneScanPricesAsCompletionSecondsBitForBit) {
+  // run_pingpong scans the chunk loads once for the round's max channel
+  // and its time; both must equal max_load() and completion_seconds(loads,
+  // flows), on unit, weighted and injection-capped tori.
+  NetworkOptions capped;
+  capped.link_bytes_per_second = 3.0;
+  capped.injection_bytes_per_second = 0.25;
+  const TorusNetwork unit(topo::Torus({4, 3, 2}));
+  const TorusNetwork weighted(topo::Torus({4, 3, 2}), {1.0, 2.0, 0.5});
+  const TorusNetwork injection(topo::Torus({4, 3, 2}), capped);
+  PingPongConfig config;
+  config.bytes_per_round = 10.0;
+  config.chunks_per_round = 3;
+  for (const TorusNetwork* net : {&unit, &weighted, &injection}) {
+    const PingPongResult result = run_pingpong(*net, config);
+    std::vector<Flow> flows = furthest_node_pairing(net->torus(), 0.0);
+    for (Flow& flow : flows) flow.bytes = 10.0 / 3.0;
+    const LinkLoads loads = net->route_all(flows);
+    EXPECT_EQ(result.seconds_per_round,
+              net->completion_seconds(loads, flows) * 3.0);
+    EXPECT_EQ(result.max_channel_bytes_per_round, loads.max_load() * 3.0);
+  }
 }
 
 }  // namespace

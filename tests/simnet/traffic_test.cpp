@@ -170,5 +170,41 @@ TEST(HaloTest, MatchesCoordinateWalkFlowForFlow) {
   }
 }
 
+// The coordinate formula furthest_node_pairing's odometer replaces: the
+// antipode of coord_of(v), mapped back by index_of, self-pairs dropped.
+std::vector<Flow> coordinate_furthest_pairing(const topo::Torus& torus,
+                                              double bytes) {
+  std::vector<Flow> flows;
+  for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
+    const topo::VertexId peer =
+        torus.index_of(torus.antipode(torus.coord_of(v)));
+    if (peer != v) flows.push_back({v, peer, bytes});
+  }
+  return flows;
+}
+
+TEST(FurthestPairingTest, MatchesCoordinateFormulaFlowForFlow) {
+  for (const topo::Dims& dims :
+       std::vector<topo::Dims>{{1},
+                               {2},
+                               {3},
+                               {1, 1},
+                               {4, 1, 3},
+                               {2, 5, 2},
+                               {6, 4, 1, 2},
+                               {3, 2, 7, 1, 4},
+                               {1, 3, 1, 5}}) {
+    const topo::Torus torus(dims);
+    const auto got = furthest_node_pairing(torus, 0.1);
+    const auto want = coordinate_furthest_pairing(torus, 0.1);
+    ASSERT_EQ(got.size(), want.size()) << torus.to_string();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].src, want[i].src) << torus.to_string() << " flow " << i;
+      EXPECT_EQ(got[i].dst, want[i].dst) << torus.to_string() << " flow " << i;
+      EXPECT_EQ(std::memcmp(&got[i].bytes, &want[i].bytes, sizeof(double)), 0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace npac::simnet

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "testing/global_locale.hpp"
 
 namespace npac::sweep {
 namespace {
@@ -139,6 +144,29 @@ TEST(SweepTablesTest, RenderWithoutSurprises) {
             grid.policies.size() * grid.contention_fractions.size());
   EXPECT_EQ(summary.num_rows() * static_cast<std::size_t>(grid.replications),
             rows.size());
+}
+
+TEST(SweepTablesTest, NumbersIgnoreTheGlobalLocale) {
+  const test_support::ScopedDigitGrouping grouping;
+  std::ostringstream stream;  // a new stream takes the global locale
+  stream << 12;
+  ASSERT_EQ(stream.str(), "1,2");
+
+  EXPECT_EQ(core::format_double(12345.678, 1), "12345.7");
+  EXPECT_EQ(core::format_double(-0.5, 3), "-0.500");
+  EXPECT_EQ(core::format_double(1.0e20, 2), "100000000000000000000.00");
+
+  TopologySchedulerRow row;
+  row.machine = "m";
+  row.replication = 12;
+  row.trace_seed = 12345;
+  const std::string csv = topology_scheduler_csv({row});
+  const std::string line = csv.substr(csv.find('\n') + 1);
+  EXPECT_EQ(line, "m,first-fit,0,12,12345,0,1,0\n");
+  EXPECT_EQ(std::count(line.begin(), line.end(), ','), 7);
+  row.trace_seed = 18446744073709551615u;  // task_seed spans all 64 bits
+  EXPECT_NE(topology_scheduler_csv({row}).find(",18446744073709551615,"),
+            std::string::npos);
 }
 
 }  // namespace

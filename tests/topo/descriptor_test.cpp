@@ -4,12 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <locale>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bgq/geometry.hpp"
+#include "testing/global_locale.hpp"
 #include "topo/hamming.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/torus.hpp"
@@ -54,27 +54,6 @@ const std::vector<std::string> kMultiDigitIds = {
     "12 x 10 x 2 x 2",
 };
 
-/// Groups every digit, so a stream that takes this locale prints 12 as
-/// "1,2".
-struct GroupEveryDigit : std::numpunct<char> {
-  char do_thousands_sep() const override { return ','; }
-  std::string do_grouping() const override { return "\1"; }
-};
-
-/// Installs `locale` as the global locale for its lifetime.
-class ScopedGlobalLocale {
- public:
-  explicit ScopedGlobalLocale(const std::locale& locale)
-      : previous_(std::locale::global(locale)) {}
-  ~ScopedGlobalLocale() { std::locale::global(previous_); }
-
-  ScopedGlobalLocale(const ScopedGlobalLocale&) = delete;
-  ScopedGlobalLocale& operator=(const ScopedGlobalLocale&) = delete;
-
- private:
-  std::locale previous_;
-};
-
 TEST(TopologySpecTest, MultiDigitIdsRenderExactly) {
   EXPECT_EQ(multi_digit_ids(), kMultiDigitIds);
 }
@@ -83,8 +62,7 @@ TEST(TopologySpecTest, IdsIgnoreTheGlobalLocale) {
   // Ids are SweepContext cache keys and printed machine names: a
   // digit-grouping global locale must not turn torus:2x2x2x12 into
   // torus:2x2x2x1,2.
-  const ScopedGlobalLocale grouping(
-      std::locale(std::locale::classic(), new GroupEveryDigit));
+  const test_support::ScopedDigitGrouping grouping;
   std::ostringstream stream;  // a new stream takes the global locale
   stream << 12;
   ASSERT_EQ(stream.str(), "1,2");
