@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "support/hot.hpp"
 
 namespace npac::sweep {
 
@@ -37,62 +38,6 @@ std::pair<std::int64_t, std::int64_t> balanced_range(std::int64_t n,
   const std::int64_t extra = n % pieces;
   const std::int64_t begin = piece * base + std::min(piece, extra);
   return {begin, begin + base + (piece < extra ? 1 : 0)};
-}
-
-// ---------------------------------------------------------------------------
-// StealDeque — bounded Chase-Lev, seq_cst handshake instead of fences.
-//
-// The owner's pop publishes its claimed bottom before reading top; a thief
-// reads top before bottom. With both sides seq_cst, at most one of them can
-// believe it took the last entry, and the top CAS arbitrates the tie. Slot
-// reads are relaxed atomics: a thief's read can be stale only if the slot
-// was recycled, which implies top moved past its snapshot, which makes its
-// CAS fail and the stale value is discarded.
-// ---------------------------------------------------------------------------
-
-bool StealDeque::push(std::int64_t chunk) {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-  const std::int64_t t = top_.load(std::memory_order_acquire);
-  if (b - t >= static_cast<std::int64_t>(kCapacity)) return false;
-  slots_[static_cast<std::size_t>(b) & kMask].store(chunk,
-                                                    std::memory_order_relaxed);
-  bottom_.store(b + 1, std::memory_order_release);
-  return true;
-}
-
-NPAC_HOT std::int64_t StealDeque::pop() {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  bottom_.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  if (t > b) {
-    // Already drained; restore bottom.
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return kEmpty;
-  }
-  std::int64_t chunk =
-      slots_[static_cast<std::size_t>(b) & kMask].load(std::memory_order_relaxed);
-  if (t == b) {
-    // Last entry: race the thieves for it via the top CAS.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      chunk = kEmpty;  // a thief got there first
-    }
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-  return chunk;
-}
-
-NPAC_HOT std::int64_t StealDeque::steal() {
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return kEmpty;
-  const std::int64_t chunk =
-      slots_[static_cast<std::size_t>(t) & kMask].load(std::memory_order_relaxed);
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return kContended;
-  }
-  return chunk;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,11 +72,7 @@ std::atomic<ThreadPool*> g_kernel_pool{nullptr};
 
 ThreadPool::ThreadPool(int threads) {
   worker_count_ = resolved_thread_count(threads);
-  static_assert(ThreadPool::kStealSlicesPerWorker <
-                    static_cast<std::int64_t>(StealDeque::kCapacity),
-                "a worker's seeded share must fit its deque");
-  states_ = std::make_unique<WorkerState[]>(
-      static_cast<std::size_t>(worker_count_));
+  shares_ = std::make_unique<Share[]>(static_cast<std::size_t>(worker_count_));
   workers_.reserve(static_cast<std::size_t>(worker_count_ - 1));
   // The calling thread is worker #0; spawn the rest.
   for (int i = 1; i < worker_count_; ++i) {
@@ -152,8 +93,8 @@ void ThreadPool::record_error() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!first_error_) first_error_ = std::current_exception();
   // Fail fast: every worker checks failed_ before starting a task, so
-  // chunks and tasks not yet started are discarded (their counts drain
-  // through remaining_) while already-running tasks finish.
+  // chunks and tasks not yet started are discarded while already-running
+  // tasks finish.
   failed_.store(true, std::memory_order_release);
 }
 
@@ -161,36 +102,13 @@ void ThreadPool::run_chunk(std::int64_t chunk,
                            const std::function<void(std::int64_t)>& fn) {
   const auto [begin, end] = chunk_range(chunk);
   for (std::int64_t i = begin; i < end; ++i) {
-    if (failed_.load(std::memory_order_acquire)) {
-      // Discard the unstarted tail of this chunk; remaining_ still drains
-      // so the run terminates with every task accounted for.
-      remaining_.fetch_sub(end - i, std::memory_order_release);
-      return;
-    }
+    if (failed_.load(std::memory_order_acquire)) return;  // discard the rest
     try {
       fn(i);
     } catch (...) {
       record_error();
     }
-    remaining_.fetch_sub(1, std::memory_order_release);
   }
-}
-
-std::int64_t ThreadPool::try_steal(int worker_index, std::uint64_t& steals,
-                                   std::uint64_t& steal_fails) {
-  // Deterministic round-robin victim order starting after this worker.
-  // Steal order affects only timing, never output (index-addressed slots),
-  // so there is no need to randomize it.
-  for (int offset = 1; offset < worker_count_; ++offset) {
-    const int victim = (worker_index + offset) % worker_count_;
-    const std::int64_t chunk = states_[victim].deque.steal();
-    if (chunk >= 0) {
-      ++steals;
-      return chunk;
-    }
-    if (chunk == StealDeque::kContended) ++steal_fails;
-  }
-  return StealDeque::kEmpty;
 }
 
 void ThreadPool::work_through_run(
@@ -205,17 +123,18 @@ void ThreadPool::work_through_run(
                                  obs::duration_bounds_us());
   std::uint64_t tasks_executed = 0;
   std::uint64_t busy_ns = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_fails = 0;
   const int nesting = worker_count_ > 1 ? 1 : 0;
   t_multi_worker_depth += nesting;
 
-  int idle_spins = 0;
-  while (true) {
-    std::int64_t chunk = states_[worker_index].deque.pop();
-    if (chunk < 0) chunk = try_steal(worker_index, steals, steal_fails);
-    if (chunk >= 0) {
-      idle_spins = 0;
+  // Own share first, then round-robin through the others. A cursor only
+  // moves forward, so a share found exhausted stays exhausted and one pass
+  // suffices; chunks still running elsewhere are awaited at the end of run.
+  for (int offset = 0; offset < worker_count_; ++offset) {
+    Share& share = shares_[(worker_index + offset) % worker_count_];
+    while (true) {
+      const std::int64_t chunk =
+          share.next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= share.end) break;
       std::chrono::steady_clock::time_point chunk_start;
       if (registry != nullptr) {
         // npaclint:allow(D3) queue-wait metric only; never feeds output
@@ -230,33 +149,15 @@ void ThreadPool::work_through_run(
         const auto [begin, end] = chunk_range(chunk);
         tasks_executed += static_cast<std::uint64_t>(end - begin);
       }
-      continue;
-    }
-    // Nothing poppable or stealable. The run is over once every task has
-    // executed or been discarded; until then another worker may still be
-    // mid-chunk, so back off briefly and rescan (its deque stays stealable
-    // and remaining_ is the termination signal).
-    if (remaining_.load(std::memory_order_acquire) == 0) break;
-    if (++idle_spins < 32) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
   t_multi_worker_depth -= nesting;
 
-  if (registry != nullptr && (tasks_executed > 0 || steals > 0)) {
-    if (tasks_executed > 0) {
-      registry->counter(worker_metric(worker_index, ".tasks"))
-          .add(tasks_executed);
-      registry->counter(worker_metric(worker_index, ".busy_ns")).add(busy_ns);
-      registry->counter("pool.tasks").add(tasks_executed);
-      registry->counter("pool.busy_ns").add(busy_ns);
-    }
-    if (steals > 0) registry->counter("pool.steals").add(steals);
-    if (steal_fails > 0) {
-      registry->counter("pool.steal_fails").add(steal_fails);
-    }
+  if (registry != nullptr && tasks_executed > 0) {
+    registry->counter(worker_metric(worker_index, ".tasks")).add(tasks_executed);
+    registry->counter(worker_metric(worker_index, ".busy_ns")).add(busy_ns);
+    registry->counter("pool.tasks").add(tasks_executed);
+    registry->counter("pool.busy_ns").add(busy_ns);
   }
 }
 
@@ -310,35 +211,24 @@ bool ThreadPool::try_run_indexed(std::int64_t num_tasks,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (running_) return false;
-    // Workers from the previous run may still be scanning deques for a
-    // final empty pop/steal; seeding must wait until they are all back
-    // asleep so the foreign pushes below race with nothing.
-    quiescent_.wait(lock, [&] { return workers_in_run_ == 0; });
     running_ = true;
     fn_ = &fn;
     num_tasks_ = num_tasks;
     num_chunks_ = std::min<std::int64_t>(
-        num_tasks, static_cast<std::int64_t>(worker_count_) *
-                       kStealSlicesPerWorker);
+        num_tasks, static_cast<std::int64_t>(worker_count_) * kChunksPerWorker);
     first_error_ = nullptr;
     failed_.store(false, std::memory_order_relaxed);
-    remaining_.store(num_tasks, std::memory_order_relaxed);
     // Unconditional: a registry installed mid-run must never observe an
     // epoch-default run start.
     // npaclint:allow(D3) queue-wait origin metric only; never feeds output
     run_start_ = std::chrono::steady_clock::now();
-    // Seed each worker's deque with its contiguous share of the chunk ids,
-    // highest id first, so the owner's LIFO pops walk its range in
-    // ascending index order while thieves steal the farthest-away chunks.
+    // Each worker's share is a contiguous range of chunk ids. No worker
+    // is inside a run here (see the end-of-run wait), and workers join
+    // under this mutex, so these plain writes race with nothing.
     for (int worker = 0; worker < worker_count_; ++worker) {
-      const std::int64_t lo =
-          worker * (num_chunks_ / worker_count_) +
-          std::min<std::int64_t>(worker, num_chunks_ % worker_count_);
-      const std::int64_t hi = lo + num_chunks_ / worker_count_ +
-                              (worker < num_chunks_ % worker_count_ ? 1 : 0);
-      for (std::int64_t chunk = hi - 1; chunk >= lo; --chunk) {
-        states_[worker].deque.push(chunk);
-      }
+      const auto [lo, hi] = balanced_range(num_chunks_, worker_count_, worker);
+      shares_[worker].next.store(lo, std::memory_order_relaxed);
+      shares_[worker].end = hi;
     }
     ++generation_;
   }
@@ -353,20 +243,19 @@ bool ThreadPool::try_run_indexed(std::int64_t num_tasks,
     registry->gauge("pool.workers").set(static_cast<double>(num_threads()));
   }
 
-  // The calling thread is worker #0; work_through_run returns only when
-  // remaining_ hit zero, i.e. every task has executed or been discarded,
-  // so results (and the first error) are visible here via the acquire
-  // load paired with the workers' release decrements.
+  // The calling thread is worker #0; it returns once every chunk is claimed.
   work_through_run(/*worker_index=*/0, fn);
 
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    // Wait for every spawned worker to leave work_through_run before the
-    // run is declared over: their end-of-run counter flushes (pool.tasks,
-    // pool.steals, per-worker tallies) must be visible to whoever reads
-    // the registry after run_indexed returns. (Workers cannot block here:
-    // remaining_ is already zero, so each one exits its scan promptly.)
+    // The run ends when every spawned worker has left work_through_run:
+    // all chunks are claimed, so each one leaves once its last chunk is
+    // done, and the mutex hands over its results, its first error and its
+    // counter flushes. Because running_ is cleared only after this wait,
+    // under the same lock, and a worker joins a run only while fn_ is
+    // non-null, the next run starts with no worker inside and needs no
+    // wait of its own before resetting the shares.
     quiescent_.wait(lock, [&] { return workers_in_run_ == 0; });
     running_ = false;
     fn_ = nullptr;

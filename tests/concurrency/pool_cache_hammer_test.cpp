@@ -1,15 +1,15 @@
-// TSan-targeted hammer: the work-stealing sweep::ThreadPool + the
+// TSan-targeted hammer: the sweep::ThreadPool executor + the
 // SweepContext memo caches driven hard from 8 workers with metrics AND
 // tracing fully on. The CI `tsan` job runs this binary (and the rest of
 // `ctest -L concurrency`) under -fsanitize=thread; unsynchronized access to
-// the cache maps, the Chase-Lev deques, the pool bookkeeping, or the obs
+// the cache maps, the share cursors, the pool bookkeeping, or the obs
 // instruments shows up as a hard failure here instead of a once-a-month
 // flaky digest.
 //
 // The assertions double as a determinism pin: every task's value must
-// equal the serial recomputation, regardless of which worker stole which
+// equal the serial recomputation, regardless of which worker claimed which
 // chunk or won which cache miss — including at deliberately skewed task
-// costs, where the steal schedule differs wildly between thread counts.
+// costs, where the claim schedule differs wildly between thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,9 +35,10 @@ constexpr std::int64_t kTasks = 400;
 
 /// Deterministic busy work whose cost depends only on the task index:
 /// every 16th task spins ~200x longer than its neighbors, so with several
-/// workers the even shares seeded per deque drain at very different rates
-/// and the fast workers must steal. The returned checksum folds into the
-/// task result so the spin cannot be optimized away.
+/// workers the even per-worker shares drain at very different rates and
+/// the fast workers must claim from the slow ones' shares. The returned
+/// checksum folds into the task result so the spin cannot be optimized
+/// away.
 std::uint64_t skewed_spin(std::int64_t i) {
   const std::int64_t spins = (i % 16 == 0) ? 20000 : 100;
   std::uint64_t h = task_seed(7, i);
@@ -130,9 +131,9 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
   }
 
   // The instrumentation saw the work: pool counters sum across workers,
-  // steal outcomes are tallied (their split depends on the schedule, but
-  // every executed task is counted exactly once), and publishing the cache
-  // snapshot is itself thread-safe.
+  // every executed task is counted exactly once (its split across workers
+  // depends on the schedule), and publishing the cache snapshot is itself
+  // thread-safe.
   EXPECT_EQ(registry.counter_value("pool.tasks"),
             static_cast<std::uint64_t>(3 * kTasks));
   EXPECT_EQ(registry.counter_value("pool.runs"), 3u);
@@ -146,8 +147,8 @@ TEST(PoolCacheHammerTest, EightThreadsShareCachesUnderInstrumentation) {
 
 TEST(PoolCacheHammerTest, SkewedCostsAreByteIdenticalAt1_2_7_16Threads) {
   // The determinism contract under the harshest schedule we can provoke:
-  // heavily skewed task costs force the fast workers to steal the slow
-  // workers' chunks, so 2, 7, and 16 workers each produce a wildly
+  // heavily skewed task costs force the fast workers to drain the slow
+  // workers' shares, so 2, 7, and 16 workers each produce a wildly
   // different execution order — and exactly the same bytes. 7 and 16 also
   // exercise worker counts that do not divide the task count.
   SweepContext reference_context;
@@ -195,9 +196,9 @@ TEST(PoolCacheHammerTest, ExceptionsUnderContentionFailFastCleanly) {
   EXPECT_GT(started.load(), 0);
 }
 
-TEST(PoolCacheHammerTest, FailFastUnderStealingSkipsUnclaimedWork) {
-  // The fail-fast contract on the stealing executor: a task that throws
-  // mid-run — while the other workers are busy with stolen chunks — must
+TEST(PoolCacheHammerTest, FailFastSkipsUnclaimedWork) {
+  // The fail-fast contract: a task that throws mid-run — while the other
+  // workers are busy with chunks claimed from its share — must
   // skip unclaimed tasks, drain in-flight ones, and surface its error.
   // Tasks before the thrower are cheap (worker 0 reaches task 17
   // quickly); tasks after it are expensive until the throw and then
@@ -216,7 +217,7 @@ TEST(PoolCacheHammerTest, FailFastUnderStealingSkipsUnclaimedWork) {
       if (thrown.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       } else {
-        (void)skewed_spin(0);  // the heavy branch: keep thieves occupied
+        (void)skewed_spin(0);  // the heavy branch: keep the others occupied
       }
     }
   };

@@ -81,12 +81,12 @@ TEST(ObsDeterminismTest, MetricsOnlyRegistryAlsoLeavesBytesUntouched) {
 }
 
 TEST(ObsDeterminismTest, CsvBytesIdenticalAt1_2_7_16Threads) {
-  // The work-stealing executor's acceptance pin: the same grid, fully
-  // instrumented, at worker counts chosen to produce maximally different
-  // steal schedules — 1 (no stealing at all), 2, 7 (does not divide the
-  // row count, so the seeded shares are uneven), and 16 (more workers
-  // than some grids have rows). Every CSV byte must match the serial run;
-  // the steal schedule may only ever change timing.
+  // The executor's acceptance pin: the same grid, fully instrumented, at
+  // worker counts chosen to produce maximally different claim schedules —
+  // 1 (one share, claimed in index order), 2, 7 (does not divide the row
+  // count, so the shares are uneven), and 16 (more workers than some
+  // grids have rows). Every CSV byte must match the serial run; the claim
+  // schedule may only ever change timing.
   ASSERT_EQ(obs::Registry::current(), nullptr);
   const std::string reference = sched_topologies_csv(1);
   for (const int threads : {2, 7, 16}) {

@@ -149,14 +149,14 @@ TEST(ThreadPoolTest, ReusableAcrossManyRuns) {
 }
 
 TEST(ThreadPoolTest, HugeRunsUseBoundedChunks) {
-  // A run far larger than the deques' capacity must still execute every
-  // index exactly once: the executor splits [0, n) into at most
-  // workers * kStealSlicesPerWorker contiguous chunks, so the per-worker
-  // queues stay bounded no matter how large n grows.
+  // A run far larger than its chunk count must still execute every index
+  // exactly once: the executor splits [0, n) into at most
+  // workers * kChunksPerWorker contiguous chunks, so the per-worker
+  // shares stay bounded no matter how large n grows.
   ThreadPool pool(4);
   constexpr std::int64_t kTasks = 100000;
-  ASSERT_GT(kTasks, static_cast<std::int64_t>(4 * ThreadPool::kStealSlicesPerWorker) *
-                        static_cast<std::int64_t>(StealDeque::kCapacity));
+  // Every chunk spans more than 64 indices.
+  ASSERT_GT(kTasks, 64 * 4 * ThreadPool::kChunksPerWorker);
   std::vector<std::atomic<int>> counts(kTasks);
   pool.run_indexed(kTasks, [&](std::int64_t i) {
     counts[static_cast<std::size_t>(i)].fetch_add(1);
@@ -184,27 +184,24 @@ TEST(ThreadPoolTest, NonDividingCountsCoverEveryIndex) {
   }
 }
 
-TEST(ThreadPoolTest, StealHappensAndIsCounted) {
-  // Deterministically force a steal: with 3 tasks on 2 workers, worker #0
-  // is seeded chunks {0, 1} and worker #1 chunk {2}. Task 0 blocks worker
-  // #0 until task 1 completes — and task 1 sits in worker #0's own deque,
-  // so the only way the run can finish is worker #1 stealing it. The
-  // pool.steals counter must record that.
+TEST(ThreadPoolTest, IdleWorkersDrainABlockedWorkersShare) {
+  // 32 tasks on 4 workers: one chunk per task, eight per share. Task 0
+  // blocks its worker until the other 31 tasks have finished, so the run
+  // can finish only if idle workers drain the blocked worker's share.
   obs::Registry registry;
   obs::ScopedRegistry scoped(registry);
-  ThreadPool pool(2);
-  std::atomic<bool> task1_done{false};
-  pool.run_indexed(3, [&](std::int64_t i) {
+  ThreadPool pool(4);
+  std::atomic<int> done{0};
+  pool.run_indexed(32, [&](std::int64_t i) {
     if (i == 0) {
-      while (!task1_done.load(std::memory_order_acquire)) {
+      while (done.load(std::memory_order_acquire) < 31) {
         std::this_thread::yield();
       }
-    } else if (i == 1) {
-      task1_done.store(true, std::memory_order_release);
+    } else {
+      done.fetch_add(1, std::memory_order_release);
     }
   });
-  EXPECT_GE(registry.counter_value("pool.steals"), 1u);
-  EXPECT_EQ(registry.counter_value("pool.tasks"), 3u);
+  EXPECT_EQ(registry.counter_value("pool.tasks"), 32u);
 }
 
 TEST(ThreadPoolTest, CountsTasksWhenARegistryIsInstalled) {
