@@ -10,7 +10,7 @@
 // partition": the furthest-node pairing saturates the bisection, the halo
 // exchange shows the contention-free floor, and random permutations land
 // in between.
-#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -42,33 +42,42 @@ int main(int argc, char** argv) {
   const simnet::TorusNetwork network(torus);
   const double bytes = 0.1342e9;  // the paper's chunk size
 
-  struct Pattern {
-    const char* name;
-    std::vector<simnet::Flow> flows;
+  struct Row {
+    const char* pattern;
+    std::int64_t flows;
+    double max_load;
+    double seconds;
   };
-  const std::vector<Pattern> patterns = {
-      {"furthest-node pairing", simnet::furthest_node_pairing(torus, bytes)},
-      {"random permutation", simnet::random_permutation(torus, bytes, 1)},
-      {"uniform all-to-all", simnet::uniform_all_to_all(torus, bytes)},
-      {"nearest-neighbor halo", simnet::nearest_neighbor_halo(torus, bytes)},
+  std::vector<Row> rows;
+  const auto price_flows = [&](const char* pattern,
+                               const std::vector<simnet::Flow>& flows) {
+    const auto loads = network.route_all(flows);
+    const double max_load = loads.max_load();
+    rows.push_back({pattern, static_cast<std::int64_t>(flows.size()), max_load,
+                    network.completion_seconds(loads, max_load, flows)});
   };
+  price_flows("furthest-node pairing",
+              simnet::furthest_node_pairing(torus, bytes));
+  price_flows("random permutation",
+              simnet::random_permutation(torus, bytes, 1));
+  // All-to-all is priced in closed form, without building its N^2 flows.
+  const simnet::GroupExchange all_to_all =
+      simnet::uniform_all_to_all(torus, bytes);
+  const auto loads = network.route_exchange(all_to_all);
+  const double max_load = loads.max_load();
+  rows.push_back({"uniform all-to-all", all_to_all.node_pairs(), max_load,
+                  network.exchange_seconds(loads, max_load, all_to_all)});
+  price_flows("nearest-neighbor halo",
+              simnet::nearest_neighbor_halo(torus, bytes));
 
   core::TextTable table(
       {"Pattern", "Flows", "Max channel (MB)", "Time (ms)", "vs halo"});
-  std::vector<std::array<double, 2>> results;
-  for (const Pattern& pattern : patterns) {
-    const auto loads = network.route_all(pattern.flows);
-    const double seconds = network.completion_seconds(loads, pattern.flows);
-    results.push_back({loads.max_load(), seconds});
-  }
-  const double halo_seconds = results.back()[1];
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    table.add_row(
-        {patterns[i].name, core::format_int(static_cast<std::int64_t>(
-                               patterns[i].flows.size())),
-         core::format_double(results[i][0] / 1e6, 1),
-         core::format_double(results[i][1] * 1e3, 2),
-         "x" + core::format_double(results[i][1] / halo_seconds, 1)});
+  const double halo_seconds = rows.back().seconds;
+  for (const Row& row : rows) {
+    table.add_row({row.pattern, core::format_int(row.flows),
+                   core::format_double(row.max_load / 1e6, 1),
+                   core::format_double(row.seconds * 1e3, 2),
+                   "x" + core::format_double(row.seconds / halo_seconds, 1)});
   }
   std::fputs(table.render().c_str(), stdout);
   std::puts(

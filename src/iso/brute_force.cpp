@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sweep/pool.hpp"
@@ -125,88 +126,83 @@ double volume_of_mask(const AdjacencyCache& cache, std::uint64_t mask) {
   return volume;
 }
 
-}  // namespace
+/// A subset score and the mask of the subset that attains it.
+struct FirstMinimum {
+  double value = std::numeric_limits<double>::infinity();
+  std::uint64_t mask = 0;
+};
 
-BruteForceResult brute_force_isoperimetric(const topo::Graph& graph,
-                                           std::int64_t t) {
-  const int n = static_cast<int>(graph.num_vertices());
-  if (n < 1 || n > 62) {
-    throw std::invalid_argument(
-        "brute_force_isoperimetric: need 1 <= |V| <= 62");
-  }
-  if (t < 1 || t > graph.num_vertices()) {
-    throw std::invalid_argument("brute_force_isoperimetric: t out of range");
-  }
-  const AdjacencyCache cache = build_cache(graph);
-  const std::int64_t total = binomial(n, static_cast<int>(t));
-
-  BruteForceResult best;
-  best.min_cut = std::numeric_limits<double>::infinity();
-  best.subsets_examined = static_cast<std::uint64_t>(total);
-
-  // Each chunk keeps its first minimum in rank order; scanning the chunks
-  // in order with a strict < then keeps the global first minimum.
+/// The first minimum of `score(mask)` over the `size`-subsets of [0, n) in
+/// Gosper order, and its mask. The enumeration runs in chunks on
+/// sweep::parallel_for; each chunk keeps its first minimum in rank order,
+/// and scanning the chunks in order with a strict < then keeps the global
+/// first minimum, so value and mask do not depend on the thread count.
+template <typename Score>
+FirstMinimum first_minimum(int n, int size, const Score& score) {
+  const std::int64_t total = binomial(n, size);
   const std::int64_t chunks = chunk_count(total);
-  std::vector<double> chunk_best(static_cast<std::size_t>(chunks),
-                                 std::numeric_limits<double>::infinity());
-  std::vector<std::uint64_t> chunk_mask(static_cast<std::size_t>(chunks), 0);
+  std::vector<FirstMinimum> chunk_min(static_cast<std::size_t>(chunks));
   sweep::parallel_for(chunks, [&](std::int64_t chunk) {
     const auto [begin, end] = sweep::balanced_range(total, chunks, chunk);
-    std::uint64_t mask = unrank_combination(n, static_cast<int>(t), begin);
-    double local_best = std::numeric_limits<double>::infinity();
-    std::uint64_t local_mask = 0;
+    std::uint64_t mask = unrank_combination(n, size, begin);
+    FirstMinimum local;
     for (std::int64_t i = begin; i < end; ++i) {
-      const double cut = cut_of_mask(cache, mask);
-      if (cut < local_best) {
-        local_best = cut;
-        local_mask = mask;
-      }
+      const double value = score(mask);
+      if (value < local.value) local = {value, mask};
       if (i + 1 < end) mask = next_combination(mask);
     }
-    chunk_best[static_cast<std::size_t>(chunk)] = local_best;
-    chunk_mask[static_cast<std::size_t>(chunk)] = local_mask;
+    chunk_min[static_cast<std::size_t>(chunk)] = local;
   });
-
-  for (std::size_t chunk = 0; chunk < chunk_best.size(); ++chunk) {
-    if (chunk_best[chunk] < best.min_cut) {
-      best.min_cut = chunk_best[chunk];
-      best.witness_mask = chunk_mask[chunk];
-    }
+  FirstMinimum best;
+  for (const FirstMinimum& local : chunk_min) {
+    if (local.value < best.value) best = local;
   }
   return best;
 }
 
-double brute_force_small_set_expansion(const topo::Graph& graph,
-                                       std::int64_t t) {
-  const int n = static_cast<int>(graph.num_vertices());
-  if (n < 1 || n > 62) {
-    throw std::invalid_argument(
-        "brute_force_small_set_expansion: need 1 <= |V| <= 62");
+/// Throws std::invalid_argument unless 1 <= |V| <= 62 and 1 <= t <= |V|.
+void check_instance(const topo::Graph& graph, std::int64_t t,
+                    const std::string& name) {
+  if (graph.num_vertices() < 1 || graph.num_vertices() > 62) {
+    throw std::invalid_argument(name + ": need 1 <= |V| <= 62");
   }
   if (t < 1 || t > graph.num_vertices()) {
-    throw std::invalid_argument(
-        "brute_force_small_set_expansion: t out of range");
+    throw std::invalid_argument(name + ": t out of range");
   }
+}
+
+}  // namespace
+
+BruteForceResult brute_force_isoperimetric(const topo::Graph& graph,
+                                           std::int64_t t) {
+  check_instance(graph, t, "brute_force_isoperimetric");
+  const int n = static_cast<int>(graph.num_vertices());
+  const AdjacencyCache cache = build_cache(graph);
+  const FirstMinimum best =
+      first_minimum(n, static_cast<int>(t), [&](std::uint64_t mask) {
+        return cut_of_mask(cache, mask);
+      });
+  BruteForceResult result;
+  result.min_cut = best.value;
+  result.witness_mask = best.mask;
+  result.subsets_examined =
+      static_cast<std::uint64_t>(binomial(n, static_cast<int>(t)));
+  return result;
+}
+
+double brute_force_small_set_expansion(const topo::Graph& graph,
+                                       std::int64_t t) {
+  check_instance(graph, t, "brute_force_small_set_expansion");
+  const int n = static_cast<int>(graph.num_vertices());
   const AdjacencyCache cache = build_cache(graph);
   double best = std::numeric_limits<double>::infinity();
-  for (std::int64_t size = 1; size <= t; ++size) {
-    const std::int64_t total = binomial(n, static_cast<int>(size));
-    const std::int64_t chunks = chunk_count(total);
-    std::vector<double> chunk_best(static_cast<std::size_t>(chunks),
-                                   std::numeric_limits<double>::infinity());
-    sweep::parallel_for(chunks, [&](std::int64_t chunk) {
-      const auto [begin, end] = sweep::balanced_range(total, chunks, chunk);
-      std::uint64_t mask = unrank_combination(n, static_cast<int>(size), begin);
-      double local_best = std::numeric_limits<double>::infinity();
-      for (std::int64_t i = begin; i < end; ++i) {
-        const double cut = cut_of_mask(cache, mask);
-        const double volume = volume_of_mask(cache, mask);
-        if (volume > 0.0) local_best = std::min(local_best, cut / volume);
-        if (i + 1 < end) mask = next_combination(mask);
-      }
-      chunk_best[static_cast<std::size_t>(chunk)] = local_best;
+  for (int size = 1; size <= t; ++size) {
+    const FirstMinimum local = first_minimum(n, size, [&](std::uint64_t mask) {
+      const double volume = volume_of_mask(cache, mask);
+      return volume > 0.0 ? cut_of_mask(cache, mask) / volume
+                          : std::numeric_limits<double>::infinity();
     });
-    for (const double chunk : chunk_best) best = std::min(best, chunk);
+    best = std::min(best, local.value);
   }
   return best;
 }

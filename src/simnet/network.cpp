@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -11,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "simnet/traffic.hpp"
 #include "support/hot.hpp"
-#include "sweep/pool.hpp"
 
 namespace npac::simnet {
 
@@ -177,6 +175,10 @@ TorusNetwork::TorusNetwork(topo::Torus torus,
 
 double TorusNetwork::channel_seconds(const LinkLoads& loads) const {
   if (unit_capacities_) return Network::channel_seconds(loads);
+  if (loads.num_dims() != torus_.num_dims() ||
+      loads.num_channels() != num_channels()) {
+    throw std::invalid_argument("channel_seconds: loads shape mismatch");
+  }
   double worst = 0.0;
   for (std::size_t dim = 0; dim < torus_.num_dims(); ++dim) {
     worst = std::max(worst, loads.max_load_in_dim(dim) / capacities_[dim]);
@@ -234,42 +236,16 @@ struct RouteScratch {
   }
 };
 
-/// The deterministic parallel accumulation behind TorusNetwork::route_all.
-/// `route_chunk(c, loads)` adds chunk c's flows into `loads`, a zeroed
-/// array of total.size() channels. The chunks run through
-/// sweep::parallel_for: chunk 0 accumulates straight into `total` (which
-/// must start zeroed), every other chunk into its own slice of `partials`
-/// (a caller-owned arena, grown as needed and reused across calls), and the
-/// slices are then added into `total` in chunk order. With a chunk count
-/// derived from the input only, the result is byte-identical whichever
-/// threads ran the chunks.
-void route_chunks(std::size_t num_chunks, std::span<double> total,
-                  std::vector<double>& partials,
-                  const std::function<void(std::size_t, double*)>& route_chunk) {
-  const std::size_t channels = total.size();
-  const std::size_t needed = (num_chunks - 1) * channels;
-  if (partials.capacity() < needed) {
-    // At least 32 MiB of address space: the allocator maps a block that
-    // large directly instead of carving it from its heap, so the
-    // long-lived arena never pins freed heap memory below it (which cost
-    // ~50 MB of peak RSS on the Figure 5 runs). Untouched pages cost
-    // nothing.
-    partials.reserve(std::max<std::size_t>(needed, std::size_t{1} << 22));
+/// Counts one torus routing call of `flows` flows (node pairs, for a group
+/// exchange) and, when tracing, opens its span in `span`.
+void count_route_call(std::uint64_t flows,
+                      std::optional<obs::ScopedTimer>& span) {
+  if (obs::Registry* const registry = obs::Registry::current()) {
+    registry->counter("net.torus.route_all").add(1);
+    registry->counter("net.torus.flows").add(flows);
   }
-  if (partials.size() < needed) partials.resize(needed);
-  sweep::parallel_for(static_cast<std::int64_t>(num_chunks),
-                      [&](std::int64_t chunk) {
-                        const auto c = static_cast<std::size_t>(chunk);
-                        double* loads = total.data();
-                        if (c > 0) {
-                          loads = partials.data() + (c - 1) * channels;
-                          std::fill(loads, loads + channels, 0.0);
-                        }
-                        route_chunk(c, loads);
-                      });
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    const double* const partial = partials.data() + (c - 1) * channels;
-    for (std::size_t i = 0; i < channels; ++i) total[i] += partial[i];
+  if (obs::tracing_enabled()) {
+    span.emplace("torus.route_all flows=" + std::to_string(flows), "net");
   }
 }
 
@@ -355,55 +331,6 @@ NPAC_HOT void route_flow_fast(const RouteScratch& scratch, TieBreak tie_break,
     node += (target - from) * stride;
   }
 }
-
-}  // namespace
-
-void TorusNetwork::route_flow(const Flow& flow, LinkLoads& loads) const {
-  const RouteScratch scratch(torus_);
-  route_flow_fast(scratch, options().tie_break, flow, loads.raw().data());
-}
-
-LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
-  const RouteScratch scratch(torus_);  // checks the size limits first
-  LinkLoads total(torus_.num_vertices(), torus_.num_dims());
-
-  if (obs::Registry* const registry = obs::Registry::current()) {
-    registry->counter("net.torus.route_all").add(1);
-    registry->counter("net.torus.flows").add(flows.size());
-  }
-  std::optional<obs::ScopedTimer> span;
-  if (obs::tracing_enabled()) {
-    span.emplace("torus.route_all flows=" + std::to_string(flows.size()),
-                 "net");
-  }
-
-  // Chunking is a function of the input only: a chunk routes at least 1024
-  // flows (below that the pool hand-off costs more than the routing) and
-  // at least one flow per channel (so zeroing and merging its partial never
-  // outweighs its routing), and one call uses at most 16 chunks.
-  constexpr std::size_t kMinFlowsPerChunk = 1024;
-  constexpr std::size_t kMaxChunks = 16;
-  const std::size_t per_chunk =
-      std::max(kMinFlowsPerChunk, total.num_channels());
-  const std::size_t num_chunks = std::clamp<std::size_t>(
-      flows.size() / per_chunk, 1, kMaxChunks);
-  const TieBreak tie_break = options().tie_break;
-  static thread_local std::vector<double> partials;
-  route_chunks(num_chunks, total.raw(), partials,
-               [&](std::size_t chunk, double* loads) {
-                 const auto [begin, end] = sweep::balanced_range(
-                     static_cast<std::int64_t>(flows.size()),
-                     static_cast<std::int64_t>(num_chunks),
-                     static_cast<std::int64_t>(chunk));
-                 for (std::int64_t i = begin; i < end; ++i) {
-                   route_flow_fast(scratch, tie_break,
-                                   flows[static_cast<std::size_t>(i)], loads);
-                 }
-               });
-  return total;
-}
-
-namespace {
 
 /// Scratch of one route_exchange call: the difference slots of every ring
 /// and the per-dimension weight tables of the group being added.
@@ -542,6 +469,29 @@ NPAC_HOT void finish_rings(const RouteScratch& shape,
 
 }  // namespace
 
+void TorusNetwork::route_flow(const Flow& flow, LinkLoads& loads) const {
+  const RouteScratch scratch(torus_);
+  if (loads.num_dims() != torus_.num_dims() ||
+      loads.num_channels() != num_channels()) {
+    throw std::invalid_argument("route_flow: loads shape mismatch");
+  }
+  route_flow_fast(scratch, options().tie_break, flow, loads.raw().data());
+}
+
+LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
+  const RouteScratch scratch(torus_);  // checks the size limits first
+  LinkLoads total(torus_.num_vertices(), torus_.num_dims());
+
+  std::optional<obs::ScopedTimer> span;
+  count_route_call(flows.size(), span);
+  const TieBreak tie_break = options().tie_break;
+  double* const loads = total.raw().data();
+  for (const Flow& flow : flows) {
+    route_flow_fast(scratch, tie_break, flow, loads);
+  }
+  return total;
+}
+
 LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
   const RouteScratch shape(torus_);  // checks the size limits first
   const std::int64_t n = torus_.num_vertices();
@@ -549,16 +499,8 @@ LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
   const std::int64_t node_pairs = exchange.node_pairs();
   LinkLoads total(n, torus_.num_dims());
 
-  obs::Registry* const registry = obs::Registry::current();
-  if (registry != nullptr) {
-    registry->counter("net.torus.route_all").add(1);
-    registry->counter("net.torus.flows")
-        .add(static_cast<std::uint64_t>(node_pairs));
-  }
   std::optional<obs::ScopedTimer> span;
-  if (obs::tracing_enabled()) {
-    span.emplace("torus.route_all flows=" + std::to_string(node_pairs), "net");
-  }
+  count_route_call(static_cast<std::uint64_t>(node_pairs), span);
 
   std::array<std::int64_t, kMaxRouteDims> dim_offset{};
   std::int64_t slots = 0;
@@ -590,7 +532,7 @@ LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
   }
   finish_rings(shape, dim_offset.data(), scratch.diff.data(),
                exchange.bytes_per_pair * 0.5, total.raw().data());
-  if (registry != nullptr) {
+  if (obs::Registry* const registry = obs::Registry::current()) {
     registry->counter("net.torus.ring_updates")
         .add(static_cast<std::uint64_t>(endpoints));
   }

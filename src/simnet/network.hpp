@@ -63,6 +63,9 @@ class LinkLoads {
   /// True when the torus (node, dim, direction) accessors are available.
   bool torus_shaped() const { return num_dims_ > 0; }
 
+  /// Torus dimensions of the layout; 0 for generic arc-indexed storage.
+  std::size_t num_dims() const { return num_dims_; }
+
   /// Channel index for (node, dimension, direction). direction: 0 = +, 1 = −.
   /// Requires torus_shaped().
   std::size_t channel_index(topo::VertexId node, std::size_t dim,
@@ -198,10 +201,12 @@ class TorusNetwork final : public Network {
   std::size_t num_channels() const override;
   LinkLoads make_loads() const override;
   /// Throws std::invalid_argument, before touching `loads`, on a torus of
-  /// more than 2^32 - 1 vertices (route_all and route_exchange too).
+  /// more than 2^32 - 1 vertices (route_all and route_exchange too) and on
+  /// loads not of make_loads()'s shape.
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// Specialized routing in chunks of flows on parallel_for, partials
-  /// merged in chunk order; byte-identical at any thread count.
+  /// One pass over the flows in input order on the allocation-free
+  /// incremental-index path, adding straight into the result: the same
+  /// bits as a route_flow loop into one LinkLoads.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   /// Closed form: per ring, a group's pair weights are a rank-1 product,
   /// accumulated as exact integer half rank-pairs in difference arrays
@@ -213,7 +218,8 @@ class TorusNetwork final : public Network {
 
  protected:
   /// Capacity-aware drain time; falls back to the base (max_load / bw)
-  /// fast path when every dimension has unit capacity.
+  /// fast path when every dimension has unit capacity. Weighted tori throw
+  /// std::invalid_argument on loads not of make_loads()'s shape.
   double channel_seconds(const LinkLoads& loads) const override;
   /// With unit capacities, max_load / bw from the caller's scan; weighted
   /// tori keep their per-dimension scan.

@@ -105,21 +105,6 @@ std::vector<Flow> random_permutation(const topo::Torus& torus, double bytes,
   return flows;
 }
 
-std::vector<Flow> uniform_all_to_all(const topo::Torus& torus,
-                                     double total_bytes_per_source) {
-  const std::int64_t n = torus.num_vertices();
-  if (n < 2) return {};
-  const double per_pair = total_bytes_per_source / static_cast<double>(n - 1);
-  std::vector<Flow> flows;
-  flows.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1));
-  for (topo::VertexId u = 0; u < n; ++u) {
-    for (topo::VertexId v = 0; v < n; ++v) {
-      if (u != v) flows.push_back({u, v, per_pair});
-    }
-  }
-  return flows;
-}
-
 namespace {
 
 /// Members [begin, end) of group g.
@@ -230,6 +215,19 @@ std::vector<Flow> GroupExchange::flows() const {
     }
   }
   return result;
+}
+
+GroupExchange uniform_all_to_all(const topo::Torus& torus,
+                                 double total_bytes_per_source) {
+  const std::int64_t n = torus.num_vertices();
+  GroupExchange exchange;
+  if (n < 2) return exchange;
+  exchange.bytes_per_pair =
+      total_bytes_per_source / static_cast<double>(n - 1);
+  exchange.members.reserve(static_cast<std::size_t>(n));
+  for (topo::VertexId v = 0; v < n; ++v) exchange.members.push_back({v, 1});
+  exchange.group_ends.push_back(exchange.members.size());
+  return exchange;
 }
 
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,

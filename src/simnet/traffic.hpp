@@ -37,11 +37,6 @@ std::vector<Flow> furthest_node_pairing(const topo::Graph& graph,
 std::vector<Flow> random_permutation(const topo::Torus& torus, double bytes,
                                      std::uint64_t seed);
 
-/// Uniform all-to-all: every ordered pair (u, v), u != v, carries
-/// `total_bytes_per_source / (N - 1)`.
-std::vector<Flow> uniform_all_to_all(const topo::Torus& torus,
-                                     double total_bytes_per_source);
-
 /// Uniform all-to-all within groups of ranks, stated per node: every ordered
 /// pair of ranks of one group sends `bytes_per_pair`, and ranks sharing a
 /// node exchange for free. A group lists the nodes hosting its ranks, each
@@ -82,6 +77,14 @@ struct GroupExchange {
   /// without a closed form routes.
   std::vector<Flow> flows() const;
 };
+
+/// Uniform all-to-all as a pattern: one group, one rank on every node in
+/// vertex order, so every ordered pair (u, v), u != v, carries
+/// `total_bytes_per_source / (N - 1)`. Empty (no groups) for N < 2. Price
+/// it with Network::route_exchange and exchange_seconds; flows() expands
+/// it to its N * (N - 1) flows, source by source in vertex order.
+GroupExchange uniform_all_to_all(const topo::Torus& torus,
+                                 double total_bytes_per_source);
 
 /// Nearest-neighbour halo exchange: every node sends `bytes` to each of its
 /// torus neighbours (the contention-free baseline pattern). Flows come in

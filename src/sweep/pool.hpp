@@ -21,8 +21,8 @@
 //    (base_seed, task_index) alone via task_seed(), never from thread ids
 //    or scheduling order, so a sweep with threads=N is bit-identical to
 //    threads=1 no matter who claimed what;
-//  * one runtime: library kernels (torus and graph routing, brute-force
-//    bisection) parallelize through parallel_for on one pool — the
+//  * one runtime: library kernels (graph routing and the brute-force
+//    subset scan) parallelize through parallel_for on one pool — the
 //    installed kernel pool (ScopedKernelPool; the bench runner installs
 //    its --threads-sized pool) or else the process-wide shared_pool() —
 //    and a loop nested inside a task of a multi-worker run executes

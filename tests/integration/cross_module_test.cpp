@@ -109,11 +109,12 @@ TEST(CrossModuleTest, WorstGeometrySaturatesEarlier) {
   }
   const simnet::TorusNetwork worst_net(worst.node_torus());
   const simnet::TorusNetwork best_net(best.node_torus());
-  const auto worst_flows =
+  const auto worst_exchange =
       simnet::uniform_all_to_all(worst_net.torus(), 1.0e6);
-  const auto best_flows = simnet::uniform_all_to_all(best_net.torus(), 1.0e6);
-  EXPECT_GT(worst_net.route_all(worst_flows).max_load(),
-            best_net.route_all(best_flows).max_load());
+  const auto best_exchange =
+      simnet::uniform_all_to_all(best_net.torus(), 1.0e6);
+  EXPECT_GT(worst_net.route_exchange(worst_exchange).max_load(),
+            best_net.route_exchange(best_exchange).max_load());
 }
 
 }  // namespace

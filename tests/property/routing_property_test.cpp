@@ -25,7 +25,7 @@ TEST_P(NetworkFamily, ByteHopConservationAcrossPatterns) {
   const auto patterns = {
       furthest_node_pairing(torus, 3.0),
       random_permutation(torus, 2.0, 7),
-      uniform_all_to_all(torus, 5.0),
+      uniform_all_to_all(torus, 5.0).flows(),
       nearest_neighbor_halo(torus, 1.0),
   };
   for (const auto& flows : patterns) {
@@ -128,7 +128,7 @@ TEST(InjectionCapTest, CapBindsWhenLinksAreFast) {
   options.link_bytes_per_second = 1e15;
   options.injection_bytes_per_second = 1.0;
   const TorusNetwork network(torus, options);
-  const auto flows = uniform_all_to_all(torus, 10.0);
+  const auto flows = uniform_all_to_all(torus, 10.0).flows();
   EXPECT_NEAR(network.completion_seconds(flows), 10.0, 1e-9);
 }
 

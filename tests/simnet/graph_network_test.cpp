@@ -220,7 +220,7 @@ TEST_P(EquivalenceTest, PairingAndAllToAllLoadsMatchToTheNinth) {
   expect_equivalent_loads(torus, furthest_node_pairing(torus, 32.0),
                           "pairing");
   if (torus.num_vertices() <= 256) {  // quadratic flow count
-    expect_equivalent_loads(torus, uniform_all_to_all(torus, 24.0),
+    expect_equivalent_loads(torus, uniform_all_to_all(torus, 24.0).flows(),
                             "all-to-all");
   }
 }
@@ -260,7 +260,8 @@ TEST_P(WeightedEquivalenceTest, LoadsAndCompletionMatchToTheNinth) {
   const GraphNetwork graph_net(topo::make_weighted_torus(dims, capacities),
                                unit_bandwidth());
   for (const auto& flows :
-       {furthest_node_pairing(torus, 32.0), uniform_all_to_all(torus, 24.0)}) {
+       {furthest_node_pairing(torus, 32.0),
+        uniform_all_to_all(torus, 24.0).flows()}) {
     const LinkLoads torus_loads = torus_net.route_all(flows);
     const LinkLoads graph_loads = graph_net.route_all(flows);
     for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {

@@ -8,12 +8,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
-
-#include "sweep/pool.hpp"
 
 namespace npac::simnet {
 namespace {
@@ -172,34 +169,12 @@ TEST(NetworkTest, FlowConservationByteHops) {
   }
 }
 
-TEST(NetworkTest, RouteAllMatchesSequentialRouting) {
-  const topo::Torus torus({4, 4, 4});
-  const TorusNetwork net(torus);
-  // Enough flows to trigger the parallel path.
-  std::vector<Flow> flows;
-  for (topo::VertexId u = 0; u < torus.num_vertices(); ++u) {
-    for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
-      if (u != v) flows.push_back({u, v, 1.0});
-    }
-  }
-  ASSERT_GT(flows.size(), 1024u);
-  const LinkLoads parallel = net.route_all(flows);
-  LinkLoads sequential(torus.num_vertices(), torus.num_dims());
-  for (const Flow& flow : flows) net.route_flow(flow, sequential);
-  ASSERT_EQ(parallel.raw().size(), sequential.raw().size());
-  for (std::size_t i = 0; i < parallel.raw().size(); ++i) {
-    EXPECT_NEAR(parallel.raw()[i], sequential.raw()[i], 1e-6) << "channel " << i;
-  }
-}
-
-TEST(NetworkTest, RouteAllIsByteIdenticalPooledAndInline) {
-  // 6000 flows on a 720-channel torus route as 5 chunks. Byte sizes span
-  // six orders of magnitude and are not dyadic, so any schedule-dependent
-  // merge order would change low bits. A top-level call fans the chunks out
-  // on the shared pool, a call from a task of a 2-worker run routes them
-  // inline, and a repeat call runs on the warm partials arena: all three
-  // must agree exactly, under both tie-breaks (even dimensions, so
-  // antipodal ties occur).
+TEST(NetworkTest, RouteAllAddsFlowsInInputOrder) {
+  // 6000 flows on a 720-channel torus. Byte sizes span six orders of
+  // magnitude and are not dyadic, so any other summation order (a chunked
+  // merge, say) would change low bits: route_all must equal a route_flow
+  // loop into one LinkLoads bit for bit, under both tie-breaks (even
+  // dimensions, so antipodal ties occur).
   const topo::Torus torus({6, 5, 4});
   std::vector<Flow> flows;
   for (std::int64_t i = 0; i < 6000; ++i) {
@@ -211,22 +186,36 @@ TEST(NetworkTest, RouteAllIsByteIdenticalPooledAndInline) {
     NetworkOptions options;
     options.tie_break = tie;
     const TorusNetwork net(torus, options);
-    const LinkLoads pooled = net.route_all(flows);
-    std::optional<LinkLoads> inline_loads;
-    sweep::ThreadPool pair(2);
-    pair.run_indexed(2, [&](std::int64_t i) {
-      if (i == 0) inline_loads = net.route_all(flows);
-    });
-    const LinkLoads repeat = net.route_all(flows);
-    ASSERT_TRUE(inline_loads.has_value());
-    const LinkLoads& inlined = *inline_loads;
-    for (const LinkLoads* got : {&inlined, &repeat}) {
-      ASSERT_EQ(got->raw().size(), pooled.raw().size());
-      for (std::size_t c = 0; c < pooled.raw().size(); ++c) {
-        ASSERT_EQ(got->raw()[c], pooled.raw()[c]) << "channel " << c;
+    LinkLoads want = net.make_loads();
+    for (const Flow& flow : flows) net.route_flow(flow, want);
+    const LinkLoads got = net.route_all(flows);
+    ASSERT_EQ(got.num_channels(), want.num_channels());
+    std::size_t differing = 0;
+    for (std::size_t c = 0; c < want.num_channels(); ++c) {
+      if (std::memcmp(&got.raw()[c], &want.raw()[c], sizeof(double)) != 0) {
+        ++differing;
       }
     }
+    EXPECT_EQ(differing, 0u) << (tie == TieBreak::kSplit ? "split" : "positive");
   }
+}
+
+TEST(NetworkTest, RouteFlowRejectsLoadsOfAnotherShape) {
+  // Routing writes, and the weighted drain time reads, at the network's
+  // own channel layout: loads of another shape must be refused before they
+  // are touched. Flow 0 -> 63 on {8, 8} would write far past the 4
+  // channels of a {2} network's loads.
+  const TorusNetwork net(topo::Torus({8, 8}));
+  for (LinkLoads loads : {TorusNetwork(topo::Torus({2})).make_loads(),
+                          LinkLoads(128, 1), LinkLoads(256)}) {
+    EXPECT_THROW(net.route_flow({0, 63, 1.0}, loads), std::invalid_argument);
+    for (const double load : loads.raw()) EXPECT_EQ(load, 0.0);
+  }
+  // Same channel count, one dimension fewer: the per-dimension scan of a
+  // weighted torus would read dimension 1 past the end.
+  const TorusNetwork weighted(topo::Torus({4, 4}), {1.0, 2.0});
+  EXPECT_THROW(weighted.completion_seconds(LinkLoads(32, 1), {}),
+               std::invalid_argument);
 }
 
 TEST(NetworkTest, CompletionTimeIsMaxLoadOverBandwidth) {
@@ -303,10 +292,8 @@ LinkLoads coordinate_route_all(const topo::Torus& torus, TieBreak tie,
 TEST(NetworkTest, RouteAllMatchesCoordinateWalkerBitForBit) {
   // Every ordered pair, plus self and zero-byte flows, on tori with
   // length-1, length-2, odd and even dimensions (even ones make antipodal
-  // ties), under both tie-breaks. Up to 1023 flows route as one chunk in
-  // flow order, so non-dyadic bytes must match exactly; the larger tori
-  // route in several chunks, so their bytes are small integers, whose
-  // sums are exact in any order.
+  // ties), under both tie-breaks. Both routers add in flow order, so
+  // non-dyadic bytes must match exactly.
   for (const topo::Dims& dims :
        std::vector<topo::Dims>{{2},
                                {5},
@@ -324,11 +311,10 @@ TEST(NetworkTest, RouteAllMatchesCoordinateWalkerBitForBit) {
         flows.push_back({u, v, (u * 7 + v) % 5 == 0 ? 0.0 : 1.0});
       }
     }
-    const bool one_chunk = flows.size() < 1024;
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      if (flows[i].bytes == 0.0) continue;
-      flows[i].bytes = one_chunk ? 1.0 / static_cast<double>(3 + i % 11)
-                                 : static_cast<double>(1 + i % 9);
+      if (flows[i].bytes != 0.0) {
+        flows[i].bytes = 1.0 / static_cast<double>(3 + i % 11);
+      }
     }
     for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
       NetworkOptions options;

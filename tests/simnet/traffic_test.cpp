@@ -92,16 +92,35 @@ TEST(RandomPermutationTest, PinnedOutput) {
 }
 
 TEST(UniformAllToAllTest, VolumeAndFanout) {
+  // One group holding one rank on every node; its flows are every ordered
+  // pair of distinct nodes, source by source in vertex order.
   const topo::Torus torus({4, 2});
-  const auto flows = uniform_all_to_all(torus, 14.0);
-  EXPECT_EQ(flows.size(), 8u * 7u);
-  for (const Flow& flow : flows) {
-    EXPECT_DOUBLE_EQ(flow.bytes, 2.0);  // 14 / 7 peers
+  const GroupExchange exchange = uniform_all_to_all(torus, 14.0);
+  EXPECT_EQ(exchange.bytes_per_pair, 2.0);  // 14 / 7 peers
+  ASSERT_EQ(exchange.group_ends, std::vector<std::size_t>{8});
+  for (std::size_t i = 0; i < exchange.members.size(); ++i) {
+    EXPECT_EQ(exchange.members[i].node, static_cast<topo::VertexId>(i));
+    EXPECT_EQ(exchange.members[i].ranks, 1);
+  }
+  const auto flows = exchange.flows();
+  ASSERT_EQ(flows.size(), 8u * 7u);
+  std::size_t i = 0;
+  for (topo::VertexId u = 0; u < 8; ++u) {
+    for (topo::VertexId v = 0; v < 8; ++v) {
+      if (u == v) continue;
+      EXPECT_EQ(flows[i].src, u);
+      EXPECT_EQ(flows[i].dst, v);
+      EXPECT_EQ(flows[i].bytes, 2.0);
+      ++i;
+    }
   }
 }
 
 TEST(UniformAllToAllTest, TrivialTorus) {
-  EXPECT_TRUE(uniform_all_to_all(topo::Torus({1}), 1.0).empty());
+  const GroupExchange exchange = uniform_all_to_all(topo::Torus({1}), 1.0);
+  EXPECT_TRUE(exchange.members.empty());
+  EXPECT_TRUE(exchange.group_ends.empty());
+  EXPECT_TRUE(exchange.flows().empty());
 }
 
 TEST(HaloTest, NeighborCountMatchesDegree) {
