@@ -52,16 +52,16 @@ int main(int argc, char** argv) {
         runner.run(grid);
 
         runner.note(
-            "Reading: compact cuboid allocations never interfere (x1.00) "
-            "— minimal routes\nstay inside a convex region, the property "
-            "that lets Blue Gene/Q isolate jobs by\ncuboid. A scattered "
-            "tenant is *faster alone* (it borrows the idle neighbour's\n"
-            "links) but collides once the neighbour wakes up (x2) — the "
-            "multi-tenant\nvariability the paper's footnote 1 excludes and "
-            "Jain et al. [18] attack with\nnetwork partitioning. Note the "
-            "embedded compact interval is itself slower than\na real "
-            "partition of that shape: it has no wrap-around links, which "
-            "is exactly\nwhy Blue Gene/Q partitions are built with their "
-            "own.");
+            "Reading: the compact tenants do not interfere on either host "
+            "(x1.00) — minimal\nroutes stay inside a convex region, the "
+            "property that lets Blue Gene/Q isolate\njobs by cuboid. An "
+            "interleaved tenant is *faster alone* than a compact one (it\n"
+            "borrows the idle neighbour's links). Sharing the host costs it "
+            "x2.00 on\n16 x 8 x 4 x 4 x 2 and nothing (x1.00) on "
+            "8 x 8 x 4 x 4 x 2. The x2.00 is the\nmulti-tenant variability "
+            "the paper's footnote 1 excludes and Jain et al. [18]\nattack "
+            "with network partitioning. The compact interval embedded in a "
+            "host has no\nwrap-around links of its own, which is why Blue "
+            "Gene/Q builds\npartitions with them.");
       });
 }

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "simnet/traffic.hpp"
-
 namespace npac::apps {
 
 double simulate_nbody_communication(const simmpi::Communicator& comm,
@@ -70,10 +68,10 @@ double simulate_halo_communication(const simmpi::Communicator& comm,
   simmpi::Timeline local;
   simmpi::Timeline& sink = timeline != nullptr ? *timeline : local;
 
-  const auto flows = comm.network().halo_flows(params.bytes_per_face);
   double total = 0.0;
   for (int step = 0; step < params.steps; ++step) {
-    total += comm.run_phase("halo:step" + std::to_string(step), flows, sink);
+    total += comm.run_halo_phase("halo:step" + std::to_string(step),
+                                 params.bytes_per_face, sink);
   }
   return total;
 }

@@ -249,21 +249,24 @@ std::vector<MachineDesignRow> table5_rows(ExperimentEngine* engine) {
 double topology_pairing_seconds(const topo::TopologySpec& spec,
                                 double bytes_per_pair) {
   const auto network = simnet::make_network(spec);
-  std::vector<simnet::Flow> flows;
   if (spec.kind() == topo::TopologySpec::Kind::kTorus) {
-    flows = simnet::furthest_node_pairing(topo::Torus(spec.dims()),
-                                          bytes_per_pair);
-  } else {
-    // Id-shift pairing h <-> h + H/2: a permutation that pushes the full
-    // pairwise volume across the id-space bisection (the generators number
-    // vertices so the top id bit is a natural cut: hypercube top bit,
-    // Hamming largest factor, dragonfly group halves, fat-tree pods).
-    // Unlike a per-source BFS-furthest peer, a permutation creates no
-    // ejection hotspots, keeping the comparison about link contention.
-    const std::int64_t hosts = spec.num_hosts();
-    for (std::int64_t h = 0; h < hosts; ++h) {
-      flows.push_back({h, (h + hosts / 2) % hosts, bytes_per_pair});
-    }
+    // The furthest-node pairing as a shift: make_network's TorusNetwork
+    // prices it in closed form.
+    return network
+        ->price_shift(simnet::TorusShift::antipodal(topo::Torus(spec.dims()),
+                                                    bytes_per_pair))
+        .seconds;
+  }
+  // Id-shift pairing h <-> h + H/2: a permutation that pushes the full
+  // pairwise volume across the id-space bisection (the generators number
+  // vertices so the top id bit is a natural cut: hypercube top bit,
+  // Hamming largest factor, dragonfly group halves, fat-tree pods).
+  // Unlike a per-source BFS-furthest peer, a permutation creates no
+  // ejection hotspots, keeping the comparison about link contention.
+  const std::int64_t hosts = spec.num_hosts();
+  std::vector<simnet::Flow> flows;
+  for (std::int64_t h = 0; h < hosts; ++h) {
+    flows.push_back({h, (h + hosts / 2) % hosts, bytes_per_pair});
   }
   return network->completion_seconds(flows);
 }

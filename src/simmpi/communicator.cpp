@@ -45,15 +45,9 @@ double record_phase(const std::string& label, double seconds, double max_load,
 double Communicator::run_phase(const std::string& label,
                                const std::vector<simnet::Flow>& flows,
                                Timeline& timeline) const {
-  const simnet::LinkLoads loads = network_->route_all(flows);
-  const double max_load = loads.max_load();
-  double total_bytes = 0.0;
-  for (const simnet::Flow& flow : flows) {
-    if (flow.src != flow.dst) total_bytes += flow.bytes;
-  }
-  return record_phase(label,
-                      network_->completion_seconds(loads, max_load, flows),
-                      max_load, total_bytes, timeline);
+  const simnet::PhaseCost cost = network_->price_flows(flows);
+  return record_phase(label, cost.seconds, cost.max_load, cost.total_bytes,
+                      timeline);
 }
 
 double Communicator::run_phase(const std::string& label,
@@ -64,6 +58,13 @@ double Communicator::run_phase(const std::string& label,
   return record_phase(label,
                       network_->exchange_seconds(loads, max_load, exchange),
                       max_load, exchange.total_bytes(), timeline);
+}
+
+double Communicator::run_halo_phase(const std::string& label, double bytes,
+                                    Timeline& timeline) const {
+  const simnet::PhaseCost cost = network_->price_halo(bytes);
+  return record_phase(label, cost.seconds, cost.max_load, cost.total_bytes,
+                      timeline);
 }
 
 simnet::GroupExchange Communicator::group_alltoall(

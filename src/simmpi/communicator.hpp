@@ -59,6 +59,11 @@ class Communicator {
                    const simnet::GroupExchange& exchange,
                    Timeline& timeline) const;
 
+  /// Times one nearest-neighbour halo phase of `bytes` per neighbour
+  /// (Network::price_halo), appending it to `timeline`.
+  double run_halo_phase(const std::string& label, double bytes,
+                        Timeline& timeline) const;
+
   /// Uniform all-to-all within consecutive rank groups of `group_size`
   /// (must divide size()): each rank spreads `bytes_per_rank` uniformly
   /// over the other ranks of its group. Returns the node-level pattern,

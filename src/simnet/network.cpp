@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -143,6 +144,38 @@ double Network::completion_seconds(std::span<const Flow> flows) const {
 LinkLoads Network::route_exchange(const GroupExchange& exchange) const {
   exchange.check(num_nodes());
   return route_all(exchange.flows());
+}
+
+LinkLoads Network::route_shift(const TorusShift& shift) const {
+  shift.check(num_nodes());
+  return route_all(shift.flows());
+}
+
+PhaseCost Network::price_flows(std::span<const Flow> flows) const {
+  const LinkLoads loads = route_all(flows);
+  PhaseCost cost;
+  cost.max_load = loads.max_load();  // the one scan of the loads
+  cost.seconds = completion_seconds(loads, cost.max_load, flows);
+  for (const Flow& flow : flows) {
+    if (flow.src != flow.dst) cost.total_bytes += flow.bytes;
+  }
+  return cost;
+}
+
+PhaseCost Network::price_shift(const TorusShift& shift) const {
+  const LinkLoads loads = route_shift(shift);
+  PhaseCost cost;
+  cost.max_load = loads.max_load();
+  cost.seconds = drain_seconds(loads, cost.max_load);
+  if (options_.injection_bytes_per_second > 0.0) {
+    cost.seconds = with_injection_cap(cost.seconds, shift.flows());
+  }
+  cost.total_bytes = shift.total_bytes();
+  return cost;
+}
+
+PhaseCost Network::price_halo(double bytes) const {
+  return price_flows(halo_flows(bytes));
 }
 
 // ---------------------------------------------------------------------------
@@ -537,6 +570,83 @@ LinkLoads TorusNetwork::route_exchange(const GroupExchange& exchange) const {
         .add(static_cast<std::uint64_t>(endpoints));
   }
   return total;
+}
+
+LinkLoads TorusNetwork::route_shift(const TorusShift& shift) const {
+  const RouteScratch shape(torus_);  // checks the size limits first
+  if (shift.dims != torus_.dims()) {
+    throw std::invalid_argument("route_shift: shift dims do not match the torus");
+  }
+  shift.check(shape.num_vertices);
+  const std::size_t num_dims = shape.num_dims;
+  LinkLoads total(shape.num_vertices, num_dims);
+
+  std::optional<obs::ScopedTimer> span;
+  count_route_call(static_cast<std::uint64_t>(shift.num_flows()), span);
+  // route_flow_fast skips a zero-byte flow, so -0.0 leaves +0.0 loads too.
+  if (shift.bytes == 0.0) return total;
+
+  // Per (dimension, direction) class: the one addend its channels take and
+  // how many times each takes it. On the ring of dimension d fixed by the
+  // destination's coordinates below d and the source's above d, an offset
+  // of x != 0 in d routes one flow from every coordinate, each over the
+  // same hops channels in the same direction with the same weight, as
+  // route_flow_fast chooses them. So every channel of the class takes
+  // `hops` addends per offset.
+  struct ClassLoad {
+    std::int64_t hops = 0;
+    double weight = 0.0;
+  };
+  std::array<ClassLoad, 2 * kMaxRouteDims> classes{};
+  const auto add = [&](std::size_t dim, int direction, std::int64_t hops,
+                       double weight) {
+    ClassLoad& c = classes[dim * 2 + static_cast<std::size_t>(direction)];
+    if (c.hops > 0 &&
+        std::bit_cast<std::uint64_t>(c.weight) !=
+            std::bit_cast<std::uint64_t>(weight)) {
+      // Mixed addends would make each channel's sum depend on flow order.
+      throw std::invalid_argument(
+          "route_shift: a channel class would take addends of two values");
+    }
+    c.hops += hops;
+    c.weight = weight;
+  };
+  const double bytes = shift.bytes;
+  for (const topo::Coord& offset : shift.offsets) {
+    for (std::size_t dim = 0; dim < num_dims; ++dim) {
+      const std::int64_t forward = offset[dim];
+      if (forward == 0) continue;
+      const std::int64_t backward = shape.dims[dim] - forward;
+      if (shape.dims[dim] == 2) {
+        add(dim, 0, 1, bytes);
+      } else if (forward < backward) {
+        add(dim, 0, forward, bytes);
+      } else if (backward < forward) {
+        add(dim, 1, backward, bytes);
+      } else if (options().tie_break == TieBreak::kSplit) {
+        add(dim, 0, forward, bytes / 2.0);
+        add(dim, 1, backward, bytes / 2.0);
+      } else {
+        add(dim, 0, forward, bytes);
+      }
+    }
+  }
+
+  // A node's channels are contiguous, (dim, direction) within node: fill
+  // one node's row and copy it to every node.
+  std::array<double, 2 * kMaxRouteDims> row{};
+  for (std::size_t c = 0; c < 2 * num_dims; ++c) {
+    row[c] = repeated_sum(classes[c].weight, classes[c].hops);
+  }
+  double* loads = total.raw().data();
+  for (std::int64_t node = 0; node < shape.num_vertices; ++node) {
+    loads = std::copy_n(row.data(), 2 * num_dims, loads);
+  }
+  return total;
+}
+
+PhaseCost TorusNetwork::price_halo(double bytes) const {
+  return price_shift(TorusShift::halo(torus_, bytes));
 }
 
 std::int64_t TorusNetwork::path_hops(const Flow& flow) const {

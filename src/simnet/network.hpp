@@ -7,7 +7,8 @@
 //
 //  * TorusNetwork (this header) — dimension-ordered minimal ring routing on
 //    a topo::Torus, kept on its specialized allocation-free incremental-
-//    index path, plus a closed form for group exchanges (route_exchange).
+//    index path, plus closed forms for group exchanges (route_exchange) and
+//    translations (route_shift).
 //    Channels are (node, dimension, direction) triples.
 //  * GraphNetwork (simnet/graph_network.hpp) — BFS shortest paths with
 //    ECMP-style fractional splitting over any topo::Graph. Channels are
@@ -93,6 +94,13 @@ class LinkLoads {
   std::vector<double> loads_;
 };
 
+/// One priced communication phase.
+struct PhaseCost {
+  double seconds = 0.0;      ///< completion time, injection cap included
+  double max_load = 0.0;     ///< the largest channel load
+  double total_bytes = 0.0;  ///< bytes that cross between nodes
+};
+
 /// The simulated interconnect of one partition: routes flows to channel
 /// loads and prices them under the max-congestion completion-time model.
 class Network {
@@ -125,6 +133,25 @@ class Network {
   /// prices it; a backend with a closed form overrides.
   virtual LinkLoads route_exchange(const GroupExchange& exchange) const;
 
+  /// Routes a torus shift and returns its loads. The base checks it
+  /// against num_nodes(), expands it (TorusShift::flows) and calls
+  /// route_all, so any backend whose vertex ids number the shift's torus
+  /// prices it; a backend with a closed form overrides.
+  virtual LinkLoads route_shift(const TorusShift& shift) const;
+
+  /// Routes `flows`, scans their loads once and prices them; total_bytes
+  /// sums the bytes of the flows between distinct nodes, in order.
+  PhaseCost price_flows(std::span<const Flow> flows) const;
+
+  /// price_flows(shift.flows()) with the loads from route_shift: the flows
+  /// are built only for an injection cap, and only when one is set.
+  PhaseCost price_shift(const TorusShift& shift) const;
+
+  /// Prices one nearest-neighbour halo phase of `bytes` per neighbour. The
+  /// base prices halo_flows(bytes) with price_flows; a backend whose halo
+  /// has a closed form overrides.
+  virtual PhaseCost price_halo(double bytes) const;
+
   /// Completion time of a set of flows that start simultaneously:
   /// max-channel-time, floored by the injection cap when one is configured.
   double completion_seconds(std::span<const Flow> flows) const;
@@ -152,7 +179,8 @@ class Network {
 
   /// Nearest-neighbour halo pattern of this network's topology: one flow
   /// of `bytes` per directed channel's endpoint pair (the contention-free
-  /// baseline traffic). Backends emit their native flow order.
+  /// baseline traffic). Backends emit their native flow order. The
+  /// reference of price_halo, which a torus answers without these flows.
   virtual std::vector<Flow> halo_flows(double bytes) const = 0;
 
  protected:
@@ -213,6 +241,16 @@ class TorusNetwork final : public Network {
   /// (DESIGN.md decision #19). Never builds a flow; single-threaded and
   /// exact, so independent of thread count.
   LinkLoads route_exchange(const GroupExchange& exchange) const override;
+  /// Closed form: every channel of a (dimension, direction) class takes
+  /// the same addends, so each class is filled once, O(channels), with
+  /// repeated_sum of its addend; the same bits as route_all(shift.flows())
+  /// (DESIGN.md decision #24). Never builds a flow. Throws
+  /// std::invalid_argument on a shift of other dims, a failing
+  /// TorusShift::check, or a class whose channels would take addends of
+  /// two values.
+  LinkLoads route_shift(const TorusShift& shift) const override;
+  /// price_shift(TorusShift::halo(torus(), bytes)).
+  PhaseCost price_halo(double bytes) const override;
   std::int64_t path_hops(const Flow& flow) const override;
   std::vector<Flow> halo_flows(double bytes) const override;
 

@@ -39,7 +39,9 @@ PingPongResult run_pingpong(const Network& network,
                             std::span<const Flow> pairing,
                             const PingPongConfig& config = {});
 
-/// Runs the furthest-node ping-pong on an arbitrary torus network.
+/// Runs the furthest-node ping-pong on an arbitrary torus network, pricing
+/// TorusShift::antipodal in closed form (Network::price_shift): the same
+/// result as the explicit overload on furthest_node_pairing's flows.
 PingPongResult run_pingpong(const TorusNetwork& network,
                             const PingPongConfig& config = {});
 

@@ -1,7 +1,9 @@
 #include "simnet/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -11,41 +13,146 @@
 
 namespace npac::simnet {
 
-std::vector<Flow> furthest_node_pairing(const topo::Torus& torus,
-                                        double bytes) {
-  const std::int64_t n = torus.num_vertices();
-  const topo::Dims& dims = torus.dims();
-  std::vector<Flow> flows;
-  flows.reserve(static_cast<std::size_t>(n));
-  // An odometer over the antipode's coordinates f = (c + a/2) mod a, as
-  // nearest_neighbor_halo walks c: each step of v advances f by one in
-  // every dimension it carries through, moving the peer id by +stride, or
-  // by -(a - 1) * stride where f wraps. c wraps, and carries into the next
-  // dimension, exactly when f comes back to a/2.
-  topo::Coord far(dims.size());
-  topo::VertexId peer = 0;
-  std::int64_t stride = 1;
-  for (std::size_t dim = 0; dim < dims.size(); ++dim) {
-    far[dim] = dims[dim] / 2;
-    peer += far[dim] * stride;
-    stride *= dims[dim];
+namespace {
+
+/// True when the offset moves a node: it is nonzero in some dimension.
+bool moves(const topo::Coord& offset) {
+  return std::any_of(offset.begin(), offset.end(),
+                     [](std::int64_t x) { return x != 0; });
+}
+
+}  // namespace
+
+TorusShift TorusShift::halo(const topo::Torus& torus, double bytes) {
+  TorusShift shift{torus.dims(), {}, bytes};
+  const std::size_t num_dims = torus.num_dims();
+  for (std::size_t dim = 0; dim < num_dims; ++dim) {
+    const std::int64_t a = torus.dims()[dim];
+    if (a == 1) continue;
+    shift.offsets.emplace_back(num_dims, 0);
+    shift.offsets.back()[dim] = 1;
+    if (a == 2) continue;
+    shift.offsets.emplace_back(num_dims, 0);
+    shift.offsets.back()[dim] = a - 1;
   }
-  for (topo::VertexId v = 0; v < n; ++v) {
-    if (peer != v) flows.push_back({v, peer, bytes});
-    stride = 1;
+  return shift;
+}
+
+TorusShift TorusShift::antipodal(const topo::Torus& torus, double bytes) {
+  TorusShift shift{torus.dims(), {topo::Coord(torus.num_dims())}, bytes};
+  for (std::size_t dim = 0; dim < torus.num_dims(); ++dim) {
+    shift.offsets[0][dim] = torus.dims()[dim] / 2;
+  }
+  return shift;
+}
+
+void TorusShift::check(std::int64_t num_nodes) const {
+  if (bytes < 0.0) {
+    throw std::invalid_argument("TorusShift: negative byte count");
+  }
+  std::int64_t product = 1;
+  for (const std::int64_t a : dims) {
+    if (a < 1 || __builtin_mul_overflow(product, a, &product)) {
+      throw std::invalid_argument(
+          "TorusShift: dimension lengths must be positive");
+    }
+  }
+  if (product != num_nodes) {
+    throw std::invalid_argument("TorusShift: node count mismatch");
+  }
+  for (const topo::Coord& offset : offsets) {
+    if (offset.size() != dims.size()) {
+      throw std::invalid_argument(
+          "TorusShift: an offset needs one entry per dimension");
+    }
     for (std::size_t dim = 0; dim < dims.size(); ++dim) {
-      const std::int64_t a = dims[dim];
-      if (++far[dim] == a) {
-        far[dim] = 0;
-        peer -= (a - 1) * stride;
-      } else {
-        peer += stride;
+      if (offset[dim] < 0 || offset[dim] >= dims[dim]) {
+        throw std::invalid_argument("TorusShift: offset out of range");
       }
-      if (far[dim] != a / 2) break;
+    }
+  }
+}
+
+std::int64_t TorusShift::num_flows() const {
+  std::int64_t nodes = 1;
+  for (const std::int64_t a : dims) nodes *= a;
+  return nodes * std::count_if(offsets.begin(), offsets.end(), moves);
+}
+
+double TorusShift::total_bytes() const {
+  return repeated_sum(bytes, num_flows());
+}
+
+std::vector<Flow> TorusShift::flows() const {
+  std::vector<Flow> result;
+  result.reserve(static_cast<std::size_t>(num_flows()));
+  std::vector<topo::Coord> moving;
+  std::copy_if(offsets.begin(), offsets.end(), std::back_inserter(moving),
+               moves);
+  if (moving.empty()) return result;
+  // One odometer over the coordinates c (coordinate 0 fastest, as vertex
+  // ids count) carries, per offset, the peer's coordinates (c + delta) mod
+  // a and its id. Each step of v advances every carried dimension by one:
+  // the peer id moves by +stride, or by -(a - 1) * stride where its
+  // coordinate wraps.
+  const std::size_t num_dims = dims.size();
+  std::int64_t nodes = 1;
+  std::vector<std::int64_t> peer(moving.size(), 0);
+  for (std::size_t dim = 0; dim < num_dims; ++dim) {
+    for (std::size_t k = 0; k < moving.size(); ++k) {
+      peer[k] += moving[k][dim] * nodes;
+    }
+    nodes *= dims[dim];
+  }
+  topo::Coord c(num_dims, 0);
+  for (topo::VertexId v = 0; v < nodes; ++v) {
+    for (const std::int64_t dst : peer) result.push_back({v, dst, bytes});
+    std::int64_t stride = 1;
+    for (std::size_t dim = 0; dim < num_dims; ++dim) {
+      const std::int64_t a = dims[dim];
+      for (std::size_t k = 0; k < moving.size(); ++k) {
+        if (++moving[k][dim] == a) {
+          moving[k][dim] = 0;
+          peer[k] -= (a - 1) * stride;
+        } else {
+          peer[k] += stride;
+        }
+      }
+      if (++c[dim] != a) break;
+      c[dim] = 0;
       stride *= a;
     }
   }
-  return flows;
+  return result;
+}
+
+double repeated_sum(double addend, std::int64_t count) {
+  if (count <= 0 || addend == 0.0) return 0.0;  // 0.0 + -0.0 reads +0.0
+  if (std::isfinite(addend)) {
+    // |addend| = m * 2^e with m an odd integer below 2^53. Every partial
+    // sum i * addend is then (i * m) * 2^e, exact while count * m < 2^53
+    // and the product does not overflow, so the loop below would return
+    // the exact product, which is what the multiplication rounds to.
+    int exponent = 0;
+    auto significand = static_cast<std::uint64_t>(
+        std::ldexp(std::fabs(std::frexp(addend, &exponent)), 53));
+    significand >>= std::countr_zero(significand);
+    std::uint64_t bound = 0;
+    if (!__builtin_mul_overflow(significand,
+                                static_cast<std::uint64_t>(count), &bound) &&
+        bound < (std::uint64_t{1} << 53)) {
+      const double product = addend * static_cast<double>(count);
+      if (std::isfinite(product)) return product;
+    }
+  }
+  double sum = 0.0;
+  for (std::int64_t i = 0; i < count; ++i) sum += addend;
+  return sum;
+}
+
+std::vector<Flow> furthest_node_pairing(const topo::Torus& torus,
+                                        double bytes) {
+  return TorusShift::antipodal(torus, bytes).flows();
 }
 
 std::vector<Flow> furthest_node_pairing(const topo::Graph& graph,
@@ -232,33 +339,7 @@ GroupExchange uniform_all_to_all(const topo::Torus& torus,
 
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,
                                         double bytes) {
-  const std::int64_t n = torus.num_vertices();
-  const topo::Dims& dims = torus.dims();
-  std::vector<Flow> flows;
-  flows.reserve(static_cast<std::size_t>(n) * torus.degree());
-  // An odometer over the coordinates (coordinate 0 fastest, as vertex ids
-  // count) gives each neighbour as v +/- stride, wrapping by (a - 1) * stride.
-  topo::Coord c(dims.size(), 0);
-  for (topo::VertexId v = 0; v < n; ++v) {
-    std::int64_t stride = 1;
-    for (std::size_t dim = 0; dim < dims.size(); ++dim) {
-      const std::int64_t a = dims[dim];
-      if (a > 1) {
-        const std::int64_t wrap = (a - 1) * stride;
-        flows.push_back(
-            {v, c[dim] + 1 == a ? v - wrap : v + stride, bytes});
-        if (a > 2) {
-          flows.push_back({v, c[dim] == 0 ? v + wrap : v - stride, bytes});
-        }
-      }
-      stride *= a;
-    }
-    for (std::size_t dim = 0; dim < dims.size() && ++c[dim] == dims[dim];
-         ++dim) {
-      c[dim] = 0;
-    }
-  }
-  return flows;
+  return TorusShift::halo(torus, bytes).flows();
 }
 
 std::vector<Flow> nearest_neighbor_halo(const topo::Graph& graph,

@@ -17,9 +17,58 @@
 
 namespace npac::simnet {
 
+/// A translation of the torus: every node v sends `bytes` to v + delta for
+/// each offset delta, coordinates taken modulo the dimension lengths. The
+/// nearest-neighbour halo and the furthest-node pairing are shifts. Every
+/// channel of one (dimension, direction) class then carries the same load,
+/// so a backend with a closed form for it (TorusNetwork::route_shift)
+/// never builds its flows (DESIGN.md decision #24).
+struct TorusShift {
+  topo::Dims dims;
+  /// One entry per dimension, each in [0, a). An offset that is zero in
+  /// every dimension moves no node and sends nothing.
+  std::vector<topo::Coord> offsets;
+  double bytes = 0.0;
+
+  /// Nearest-neighbour halo: per dimension of length a > 1, the + offset,
+  /// then the - offset (a - 1) unless a == 2.
+  static TorusShift halo(const topo::Torus& torus, double bytes);
+
+  /// Furthest-node pairing: the one offset floor(a / 2) in every dimension.
+  static TorusShift antipodal(const topo::Torus& torus, double bytes);
+
+  /// Throws std::invalid_argument unless every dimension length is
+  /// positive, their product is `num_nodes`, every offset has one entry
+  /// per dimension in [0, a) and the byte count is not negative (NaN
+  /// passes, as route_all routes it).
+  void check(std::int64_t num_nodes) const;
+
+  /// One flow per node and per offset that moves a node: the number of
+  /// flows flows() emits. Requires check() to pass.
+  std::int64_t num_flows() const;
+
+  /// Bytes that cross between nodes: num_flows() copies of `bytes` summed
+  /// from 0.0, the sum Communicator::run_phase takes over flows().
+  double total_bytes() const;
+
+  /// The reference expansion: nodes in id order, each node's flows in
+  /// offset order. Built by one odometer over the coordinates in time
+  /// linear in the flow count.
+  std::vector<Flow> flows() const;
+};
+
+/// 0.0 + addend + addend + ..., `count` addends added in order (0.0 for
+/// count <= 0). Every addend is the same double, so the sum does not
+/// depend on which flow each came from. When every partial sum is exact
+/// the product addend * count is that sum, and it is returned without the
+/// loop.
+double repeated_sum(double addend, std::int64_t count);
+
 /// Furthest-node pairing: one flow per ordered node pair (u, antipode(u)),
 /// `bytes` each — 2N flows in total (each unordered pair exchanges in both
-/// directions simultaneously, as in the paper's ping-pong).
+/// directions simultaneously, as in the paper's ping-pong). The flows of
+/// TorusShift::antipodal; price the pattern itself with
+/// Network::price_shift.
 std::vector<Flow> furthest_node_pairing(const topo::Torus& torus,
                                         double bytes);
 
@@ -91,7 +140,8 @@ GroupExchange uniform_all_to_all(const topo::Torus& torus,
 /// vertex order; per vertex, dimension by dimension, the + neighbour, then
 /// the - neighbour unless the dimension has length 2 (one link, one flow).
 /// Length-1 dimensions send nothing. Exactly num_vertices() * degree()
-/// flows, built in time linear in their count.
+/// flows: those of TorusShift::halo. Network::price_halo prices the halo
+/// of any backend; a torus prices the shift without these flows.
 std::vector<Flow> nearest_neighbor_halo(const topo::Torus& torus,
                                         double bytes);
 

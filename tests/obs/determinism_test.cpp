@@ -23,6 +23,7 @@
 #include "simmpi/communicator.hpp"
 #include "simnet/graph_network.hpp"
 #include "simnet/network.hpp"
+#include "simnet/pingpong.hpp"
 #include "simnet/traffic.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/sweep.hpp"
@@ -334,6 +335,44 @@ TEST(ObsDeterminismTest, FftWorkCountersRepeatAtAnyThreadCount) {
     EXPECT_EQ(registry.counter_value("simmpi.node_flows"), 4608u)
         << "threads=" << threads;
     EXPECT_EQ(registry.counter_value("net.torus.flows"), 4608u)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ObsDeterminismTest, ShiftWorkCountersRepeatAtAnyThreadCount) {
+  // The closed-form torus shift counts what route_all would have routed:
+  // one call and the shift's flows. One furthest-node ping-pong (512
+  // flows) and one halo phase (9 neighbours per node) on a one-midplane
+  // torus pin both, and their times, at 1, 3 and 8 kernel-pool threads.
+  ASSERT_EQ(obs::Registry::current(), nullptr);
+  const simnet::TorusNetwork network(bgq::Geometry(1, 1, 1, 1).node_torus());
+  const simmpi::Communicator comm(&network, simmpi::RankMap(512, 512));
+  const double pingpong = simnet::run_pingpong(network).measured_seconds;
+  const double halo = apps::simulate_halo_communication(comm, {1, 1.0e6});
+  for (const int threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ScopedKernelPool kernel_pool(pool);
+    obs::Registry::Options options;
+    options.tracing = true;
+    obs::Registry pingpong_registry(options);
+    {
+      obs::ScopedRegistry scoped(pingpong_registry);
+      EXPECT_EQ(simnet::run_pingpong(network).measured_seconds, pingpong)
+          << "threads=" << threads;
+    }
+    EXPECT_EQ(pingpong_registry.counter_value("net.torus.route_all"), 1u)
+        << "threads=" << threads;
+    EXPECT_EQ(pingpong_registry.counter_value("net.torus.flows"), 512u)
+        << "threads=" << threads;
+    obs::Registry halo_registry(options);
+    {
+      obs::ScopedRegistry scoped(halo_registry);
+      EXPECT_EQ(apps::simulate_halo_communication(comm, {1, 1.0e6}), halo)
+          << "threads=" << threads;
+    }
+    EXPECT_EQ(halo_registry.counter_value("net.torus.route_all"), 1u)
+        << "threads=" << threads;
+    EXPECT_EQ(halo_registry.counter_value("net.torus.flows"), 4608u)
         << "threads=" << threads;
   }
 }
